@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-smoke bench-gate profile fuzz fuzz-smoke clean
+.PHONY: all build vet test race check bench bench-smoke profile fuzz fuzz-smoke clean
 
 all: check
 
@@ -30,11 +30,10 @@ check:
 	# Batching smoke under race: the batched control plane (the default) and
 	# its -no-batch ablation must stay bit-identical, live and sharded.
 	$(GO) test -race -run 'TestDifferentialBatching' -count 1 ./internal/broker/
-	# Partitioned-core smoke under race: -partitions=1 must stay
-	# event-identical to the legacy serialized broker, and the cross-stripe
-	# stress (interleaved submit/result/deadline/cancel plus a provider loss)
-	# must finalize every tasklet exactly once and leak no attempts.
-	$(GO) test -race -run 'TestDifferentialPartitions|TestPartitionStress' -count 1 ./internal/broker/
+	# Core-count sweep under race: broker behavior must not depend on
+	# GOMAXPROCS, so the whole package (coalescing, the engine stress test,
+	# the goroutine-leak test) runs at 1, 2 and 4 Ps on every runner.
+	$(GO) test -race -cpu 1,2,4 -count 1 ./internal/broker/
 
 # bench runs the headline benchmarks with allocation reporting: interpreter
 # hot paths, the broker data-plane throughput pair (coalescing on/off), and
@@ -51,10 +50,10 @@ bench:
 	$(GO) test -run XXX -bench 'BenchmarkRing|BenchmarkPlanPull' -benchmem ./internal/shard/
 
 # profile captures CPU, mutex and block profiles from the saturating
-# broker-throughput benchmark — the partitioned core's hot path. Inspect
-# with `go tool pprof $(PROFILEDIR)/cpu.out` (or mutex.out / block.out) plus
-# the test binary left beside them; mutex samples on b.mu and the partition
-# stripes are the first thing to look at when scaling regresses.
+# broker-throughput benchmark — the broker's hot path. Inspect with
+# `go tool pprof $(PROFILEDIR)/cpu.out` (or mutex.out / block.out) plus the
+# test binary left beside them; mutex samples on b.mu and the engine mutex
+# are the first thing to look at when throughput regresses.
 PROFILEDIR ?= profiles
 profile:
 	mkdir -p $(PROFILEDIR)
@@ -63,14 +62,6 @@ profile:
 		-mutexprofile $(PROFILEDIR)/mutex.out \
 		-blockprofile $(PROFILEDIR)/block.out \
 		-o $(PROFILEDIR)/bench.test .
-
-# bench-gate re-runs the partitioned-core experiment at CI scale and diffs
-# its series against the committed baseline (BENCH_PR9.json). Drops beyond
-# 10% print WARN lines but never fail the target — host noise makes CI
-# timings advisory; the hard thresholds live inside the experiment itself
-# (it errors below a 1.5x P=8-vs-P=1 speedup).
-bench-gate:
-	$(GO) run ./cmd/tasklet-bench -exp e13 -quick -q -compare BENCH_PR9.json
 
 # bench-smoke compiles and runs every throughput/ablation benchmark exactly
 # once (-benchtime=1x) — the CI gate that keeps the bench harness building

@@ -1,12 +1,11 @@
 // Command tasklet-bench regenerates the paper's evaluation: every table and
-// figure has an experiment (e1–e13; see DESIGN.md §4) whose rows/series this
+// figure has an experiment (e1–e12; see DESIGN.md §4) whose rows/series this
 // tool prints.
 //
 // Usage:
 //
 //	tasklet-bench -exp all            # full evaluation (minutes)
 //	tasklet-bench -exp e3 -quick      # one experiment at CI scale
-//	tasklet-bench -exp e13 -quick -compare BENCH_PR9.json   # warn-only drift check
 package main
 
 import (
@@ -28,10 +27,6 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress progress logs")
 	csvDir := flag.String("csv", "", "also write each experiment's series as <dir>/<id>.csv")
 	jsonPath := flag.String("json", "", "write all experiment results as a JSON array to this file")
-	baseline := flag.String("compare", "",
-		"baseline JSON (a previous -json output) to diff series against; regressions print warnings but never fail the run")
-	tolerance := flag.Float64("tolerance", 0.10,
-		"relative drop versus the -compare baseline that triggers a warning")
 	flag.Parse()
 
 	opts := experiments.Options{Quick: *quick, Seed: *seed}
@@ -83,73 +78,7 @@ func main() {
 			failed = true
 		}
 	}
-	if *baseline != "" {
-		if err := compareBaseline(*baseline, results, *tolerance); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			failed = true
-		}
-	}
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// compareBaseline is the warn-only regression gate (benchstat is not vendored,
-// so the diff lives here): every series point shared between this run and the
-// committed baseline is compared, and a drop beyond the tolerance prints a
-// WARN line. Host noise and Quick-vs-full scale differences make this
-// advisory — only a failure to read or match the baseline is an error; the
-// experiments' own hard-fail thresholds (inside Run) guard the real claims.
-func compareBaseline(path string, results []*experiments.Result, tolerance float64) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("compare: %w", err)
-	}
-	var base []*experiments.Result
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("compare: %s: %w", path, err)
-	}
-	byID := map[string]*experiments.Result{}
-	for _, r := range base {
-		byID[r.ID] = r
-	}
-	warned, points := 0, 0
-	for _, cur := range results {
-		ref := byID[cur.ID]
-		if ref == nil {
-			continue
-		}
-		refSeries := map[string]*metrics.Series{}
-		for _, s := range ref.Series {
-			refSeries[s.Name] = s
-		}
-		for _, s := range cur.Series {
-			rs := refSeries[s.Name]
-			if rs == nil {
-				continue
-			}
-			refY := map[float64]float64{}
-			for i, x := range rs.X {
-				refY[x] = rs.Y[i]
-			}
-			for i, x := range s.X {
-				want, ok := refY[x]
-				if !ok || want <= 0 {
-					continue
-				}
-				points++
-				if drop := 1 - s.Y[i]/want; drop > tolerance {
-					warned++
-					fmt.Printf("WARN %s %q @%g: %.4g vs baseline %.4g (-%.1f%%)\n",
-						cur.ID, s.Name, x, s.Y[i], want, drop*100)
-				}
-			}
-		}
-	}
-	if points == 0 {
-		return fmt.Errorf("compare: no shared series points between this run and %s", path)
-	}
-	fmt.Printf("compare vs %s: %d points checked, %d beyond -tolerance %.0f%% (warn-only)\n",
-		path, points, warned, tolerance*100)
-	return nil
 }

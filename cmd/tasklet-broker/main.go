@@ -46,8 +46,6 @@ func main() {
 		"disable batch frames (one Assign/ResultPush per attempt even to batch-capable peers; ablation/debugging)")
 	noIndex := flag.Bool("no-index", false,
 		"disable the incremental scheduler index (full-scan placement; ablation/debugging)")
-	partitions := flag.Int("partitions", 0,
-		"lock-striped lifecycle partitions per broker (0 = GOMAXPROCS; 1 = single-stripe ablation/legacy-equivalent)")
 	shards := flag.Int("shards", 1,
 		"run an in-process shard group of N brokers (an explicit port P binds ports P..P+N-1)")
 	shardID := flag.Uint64("shard-id", 0,
@@ -86,7 +84,6 @@ func main() {
 			NoCoalesce:       *noCoalesce,
 			NoBatch:          *noBatch,
 			NoIndex:          *noIndex,
-			Partitions:       *partitions,
 			ShardID:          *shardID,
 			GossipInterval:   *gossip,
 			Exchange:         *exchange,

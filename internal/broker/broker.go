@@ -8,22 +8,26 @@
 //
 // Concurrency model: one reader goroutine per connection, one writer
 // goroutine per connection (fed by a bounded queue so a slow peer cannot
-// stall the broker), one scheduler goroutine, and per-tasklet state split
-// into P lock-striped partitions (partition.go) keyed by tasklet-ID hash.
-// Reader goroutines push decoded results into per-partition ingress rings
-// and the first arrival combines the backlog into one bulk engine Apply, so
-// lifecycle execution, QoC fan-in, memo lookups and effect emission run on
-// all cores; deadlines and retry backoffs are served by one timer wheel
-// goroutine per partition instead of one runtime timer per tasklet.
-// Placement stays single-writer: events set a dirty flag and wake the
-// scheduler goroutine, which owns scheduler.Index exclusively and drains
-// partition queues round-robin, so a burst of events costs one placement
-// pass instead of one per event. Heartbeats bypass every lock (atomic
-// timestamp per provider). Writer goroutines drain their queue in batches
-// so one socket flush covers a burst of Assigns or ResultPushes (see
-// wire.Conn for the flush policy). Options.Partitions = 1 collapses the
-// striping to a single partition whose observable behavior is pinned
-// event-identical to the pre-partitioned broker by the differential tests.
+// stall the broker), one scheduler goroutine, one timer-wheel goroutine, and
+// one lifecycle engine (engine.go) guarding all per-tasklet state under the
+// engine mutex. Ownership runs in one direction:
+//
+//	provider readers ─┐
+//	                  ├─▶ ingress ring ─▶ combiner ──▶ engine mu ───▶ scheduler (b.mu)
+//	timer wheel ──────┘   (MPSC)          (one bulk     (Engine,        (Index, one pass
+//	                                       Apply)        job queues)     per burst)
+//
+// Reader goroutines push decoded results into the ring and the first arrival
+// elects itself combiner, folding the backlog into one bulk Engine.Apply;
+// deadlines and retry backoffs enter the same ring from the timer wheel
+// instead of one runtime timer per tasklet. Placement stays single-writer:
+// events set a dirty flag and wake the scheduler goroutine, which owns
+// scheduler.Index exclusively and drains the placement queue round-robin
+// across jobs (queue.go), so a burst of events costs one placement pass
+// instead of one per event. Heartbeats
+// bypass every lock (atomic timestamp per provider). Writer goroutines drain
+// their queue in batches so one socket flush covers a burst of Assigns or
+// ResultPushes (see wire.Conn for the flush policy).
 package broker
 
 import (
@@ -32,7 +36,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -67,12 +70,6 @@ type Options struct {
 	// instead of once per provider. Exists for the program-cache ablation
 	// benchmark; never enable it in a real deployment.
 	DisableProgramCache bool
-
-	// Partitions is the number of lock-striped lifecycle partitions the
-	// broker runs (see partition.go). Zero selects GOMAXPROCS; 1 is the
-	// ablation/legacy-equivalent configuration with a single stripe. Capped
-	// at 64.
-	Partitions int
 
 	// MemoEntries, MemoBytes, and MemoTTL configure the broker-tier result
 	// memo (content-addressed cache of QoC-finalized results, plus
@@ -142,18 +139,14 @@ const sendQueueDepth = 4096
 // one flush.
 const writerBatchMax = 128
 
-// maxPartitions caps Options.Partitions so batch routing can track touched
-// partitions in one 64-bit mask.
-const maxPartitions = 64
-
 // Broker is the central coordinator. Create with New, start with Serve.
 //
 // Locking: b.mu guards the listener, the provider registry structure and
 // all scheduler state (index, staged batches, scratch); jobMu guards
 // consumers/jobs and their accounting (the delivery path); progMu guards
 // the program store; exMu guards the shard-exchange state (shard.go); pmu
-// is a read gate on the providers map for partition-side cancel sends; each
-// partition has its own mutex (partition.go documents the full lock order).
+// is a read gate on the providers map for engine-side cancel sends; emu
+// guards the lifecycle engine (engine.go documents the full lock order).
 // No goroutine ever holds two of {b.mu, jobMu, exMu} at once.
 type Broker struct {
 	opts Options
@@ -169,7 +162,7 @@ type Broker struct {
 	closed atomic.Bool
 
 	// pmu guards the providers map alongside b.mu: writers hold both, so a
-	// reader may hold either. Partition effect application cancels attempts
+	// reader may hold either. Engine effect application cancels attempts
 	// under pmu.RLock, which lets provider removal barrier on pmu before
 	// the send queue is closed.
 	pmu sync.RWMutex
@@ -183,19 +176,33 @@ type Broker struct {
 	progMu   sync.RWMutex
 	programs map[core.ProgramID][]byte
 
-	// parts holds the lock-striped lifecycle partitions; see partition.go.
-	parts []*partition
+	// emu guards the lifecycle core (engine.go): the engine, the placement
+	// queue and the combiner scratch. The wheel and ring carry their own
+	// synchronization.
+	emu   sync.Mutex
+	life  *lifecycle.Engine
+	queue placementQueue
+	wheel *timerWheel
+	ring  *ingressRing
+	// draining is the combiner election flag: the goroutine that CASes it
+	// true owns ring consumption and the combiner scratch below until it
+	// stores false again.
+	draining   atomic.Bool
+	inScratch  []engineEvent
+	evScratch  []lifecycle.Event
+	outScratch []lifecycle.Effect
 	// memoOn gates content-key computation on submission (pure CPU saving;
-	// the engines would ignore the key anyway when memoization is off).
+	// the engine would ignore the key anyway when memoization is off).
 	memoOn bool
-	// pendingN tracks the total placement-queue depth across partitions.
+	// pendingN counts the queue's entries for lock-free readers (gossip,
+	// fleet queries, snapshots).
 	pendingN atomic.Int64
 
 	// index is the incremental placement index mirroring provider
 	// free/backlog state; nil when Options.NoIndex is set or the policy has
 	// no indexed form, in which case the legacy scan runs. All Index
 	// methods are nil-safe. The scheduler goroutine owns it exclusively
-	// (everything touching it runs under b.mu); partitions publish slot
+	// (everything touching it runs under b.mu); the combiner publishes slot
 	// changes through the dirty-provider list instead.
 	index *scheduler.Index
 
@@ -239,7 +246,7 @@ type Broker struct {
 	exchRate   float64
 	exchRateOK bool
 	// finalizedN counts finals processed (local + adopted); feeds the
-	// gossip rate. Atomic: partitions bump it, gossipTick reads it.
+	// gossip rate. Atomic: delivery bumps it, gossipTick reads it.
 	finalizedN atomic.Int64
 
 	nextProvider core.ProviderID // under b.mu
@@ -249,10 +256,7 @@ type Broker struct {
 	wg   sync.WaitGroup
 
 	// Hot-path metric handles, resolved once at construction so the
-	// per-result path never takes the registry lock. The per-attempt and
-	// per-tasklet counters are additionally lock-striped: each partition
-	// increments its own cell (cached in the partition struct) and Value()
-	// merges.
+	// per-result path never takes the registry lock.
 	mSendDropped   *metrics.Counter
 	mAttemptsOK    *metrics.Counter
 	mAttemptsFlt   *metrics.Counter
@@ -282,7 +286,7 @@ type providerState struct {
 	label string // "provider N", precomputed for hot-path logs
 	caps  uint8  // protocol extensions advertised in Hello
 
-	// free/backlog/finished are atomics: partition combiners settle them as
+	// free/backlog/finished are atomics: the engine combiner settles them as
 	// results arrive while the scheduler reads them under b.mu. assigned
 	// and the reliability estimate inside info stay scheduler-only.
 	free     atomic.Int64
@@ -347,15 +351,6 @@ func New(opts Options) *Broker {
 	if opts.GossipInterval <= 0 {
 		opts.GossipInterval = 100 * time.Millisecond
 	}
-	if opts.Partitions == 0 {
-		opts.Partitions = runtime.GOMAXPROCS(0)
-	}
-	if opts.Partitions < 1 {
-		opts.Partitions = 1
-	}
-	if opts.Partitions > maxPartitions {
-		opts.Partitions = maxPartitions
-	}
 	opts.ExchangePolicy = opts.ExchangePolicy.Normalize()
 	reg := opts.Metrics
 	if reg == nil {
@@ -412,10 +407,6 @@ func New(opts Options) *Broker {
 	lopts.MaxAttempts = opts.MaxAttempts
 	lopts.RetryBackoff = opts.RetryBackoff
 	if opts.MemoEntries >= 0 && opts.MemoBytes >= 0 && opts.MemoTTL >= 0 {
-		// One cache shared by every partition engine (the cache carries its
-		// own mutex), so repeats hit across partitions. Flight tables are
-		// per partition: a flight's waiter fan-out dereferences the owning
-		// engine's tasklet records, so coalescing is partition-local.
 		lopts.Memo = memo.New(memo.Config{
 			MaxEntries: opts.MemoEntries,
 			MaxBytes:   opts.MemoBytes,
@@ -423,57 +414,13 @@ func New(opts Options) *Broker {
 			Metrics:    reg,
 			Prefix:     "memo.",
 		})
+		lopts.Flights = memo.NewFlightTable(reg, "memo.")
 		b.memoOn = true
 	}
-
-	p := opts.Partitions
-	b.mAttemptsOK.Shard(p)
-	b.mAttemptsFlt.Shard(p)
-	b.mAttemptsOth.Shard(p)
-	b.mCompleted.Shard(p)
-	b.mFailed.Shard(p)
-	b.mDeadlineExp.Shard(p)
-	b.mExecMS.Shard(p)
-	b.mLatencyMS.Shard(p)
-	b.parts = make([]*partition, p)
-	for i := range b.parts {
-		po := lopts
-		po.AttemptOffset = uint64(i)
-		po.AttemptStride = uint64(p)
-		if b.memoOn {
-			po.Flights = memo.NewFlightTable(reg, "memo.")
-		}
-		part := &partition{
-			idx:        i,
-			life:       lifecycle.New(po),
-			ring:       newIngressRing(),
-			cOK:        b.mAttemptsOK.Cell(i),
-			cFlt:       b.mAttemptsFlt.Cell(i),
-			cOth:       b.mAttemptsOth.Cell(i),
-			cCompleted: b.mCompleted.Cell(i),
-			cFailed:    b.mFailed.Cell(i),
-			cDeadlineExp: b.mDeadlineExp.Cell(i),
-			hExec:      b.mExecMS.Cell(i),
-			hLatency:   b.mLatencyMS.Cell(i),
-		}
-		part.wheel = newTimerWheel(b.wheelFire(part))
-		b.parts[i] = part
-	}
+	b.life = lifecycle.New(lopts)
+	b.ring = newIngressRing()
+	b.wheel = newTimerWheel(b.wheelFire)
 	return b
-}
-
-// wheelFire builds part's timer-wheel callback: firings enter the partition
-// through its ingress ring like any other event, so the combiner discipline
-// covers them.
-func (b *Broker) wheelFire(part *partition) func(kind uint8, tid core.TaskletID) {
-	return func(kind uint8, tid core.TaskletID) {
-		ev := partEvent{kind: peDeadline, tid: tid}
-		if kind == wheelLaunch {
-			ev.kind = peLaunchReady
-		}
-		part.ring.push(&ev)
-		b.pump(part)
-	}
 }
 
 // Metrics returns the broker's metrics registry.
@@ -495,7 +442,7 @@ func (b *Broker) Listen(addr string) (string, error) {
 	b.ln = ln
 	b.mu.Unlock()
 
-	b.wg.Add(3)
+	b.wg.Add(4)
 	go func() {
 		defer b.wg.Done()
 		b.acceptLoop(ln)
@@ -508,14 +455,10 @@ func (b *Broker) Listen(addr string) (string, error) {
 		defer b.wg.Done()
 		b.schedLoop()
 	}()
-	for _, part := range b.parts {
-		w := part.wheel
-		b.wg.Add(1)
-		go func() {
-			defer b.wg.Done()
-			w.run(b.stop)
-		}()
-	}
+	go func() {
+		defer b.wg.Done()
+		b.wheel.run(b.stop)
+	}()
 	if b.opts.ShardID != 0 {
 		b.wg.Add(1)
 		go func() {
@@ -647,8 +590,8 @@ func (b *Broker) handleConn(nc net.Conn) {
 }
 
 // schedLoop is the single scheduler goroutine: it runs one placement pass
-// per wake-up. While a pass holds b.mu and the partition locks, arriving
-// events settle into partition state, set the dirty flag, and are all
+// per wake-up. While a pass holds b.mu and the engine lock, arriving
+// events settle into engine state, set the dirty flag, and are all
 // covered by the next pass — so a burst of N results costs one or two walks
 // of the placement queue, not N.
 func (b *Broker) schedLoop() {
@@ -785,7 +728,7 @@ func (b *Broker) serveProvider(nc net.Conn, conn *wire.Conn, hello *wire.Hello) 
 	}
 done:
 	b.removeProvider(p)
-	// Barrier: a partition applying a CancelAttempt may hold a reference
+	// Barrier: a combiner applying a CancelAttempt may hold a reference
 	// from before the map delete; it enqueues under pmu.RLock, so one write
 	// acquisition guarantees no send races the close below.
 	b.pmu.Lock()
@@ -796,8 +739,7 @@ done:
 }
 
 // removeProvider declares a provider dead: its in-flight attempts are fed
-// back to every partition engine as lost. Idempotent; callers hold no
-// locks.
+// back to the engine as lost. Idempotent; callers hold no locks.
 func (b *Broker) removeProvider(p *providerState) {
 	b.mu.Lock()
 	if p.gone.Swap(true) {
@@ -810,15 +752,10 @@ func (b *Broker) removeProvider(p *providerState) {
 	b.index.Remove(p.info.ID)
 	b.mu.Unlock()
 
-	lost := 0
-	var out []lifecycle.Effect
-	for _, part := range b.parts {
-		part.mu.Lock()
-		n, fx := part.life.ProviderLost(p.info.ID)
-		lost += n
-		out, _ = b.applyPartFxLocked(part, fx, out)
-		part.mu.Unlock()
-	}
+	b.emu.Lock()
+	lost, fx := b.life.ProviderLost(p.info.ID)
+	out, _ := b.applyFxLocked(fx, nil)
+	b.emu.Unlock()
 	if lost > 0 {
 		b.mAttemptsLost.Add(int64(lost))
 	}
@@ -826,63 +763,39 @@ func (b *Broker) removeProvider(p *providerState) {
 	b.schedule()
 }
 
-// onAttemptResult routes a provider's result report to its partition.
+// onAttemptResult pushes a provider's result report into the engine.
 func (b *Broker) onAttemptResult(p *providerState, m *wire.AttemptResult) {
-	part := b.part(m.Tasklet)
-	part.ring.push(&partEvent{
-		kind: peResult,
-		prov: p,
-		res: core.Result{
-			Tasklet:   m.Tasklet,
-			Attempt:   m.Attempt,
-			Provider:  p.info.ID,
-			Status:    m.Status,
-			Return:    m.Return,
-			Emitted:   m.Emitted,
-			FaultCode: m.FaultCode,
-			FaultMsg:  m.FaultMsg,
-			FuelUsed:  m.FuelUsed,
-			Exec:      time.Duration(m.ExecNanos),
-		},
-	})
-	b.pump(part)
+	b.pushResult(p, m)
+	b.pump()
 }
 
-// onAttemptResultBatch routes a provider's folded burst of result reports:
-// each result goes to its partition's ring, then every touched partition is
-// pumped once, so the whole burst becomes at most one bulk Engine.Apply per
-// partition (exactly one with a single partition — the legacy path).
+// onAttemptResultBatch pushes a provider's folded burst of result reports
+// and pumps once, so the whole burst becomes one bulk Engine.Apply.
 func (b *Broker) onAttemptResultBatch(p *providerState, m *wire.AttemptResultBatch) {
-	if len(m.Results) == 0 {
-		return
-	}
-	var touched uint64
 	for i := range m.Results {
-		r := &m.Results[i]
-		part := b.part(r.Tasklet)
-		part.ring.push(&partEvent{
-			kind: peResult,
-			prov: p,
-			res: core.Result{
-				Tasklet:   r.Tasklet,
-				Attempt:   r.Attempt,
-				Provider:  p.info.ID,
-				Status:    r.Status,
-				Return:    r.Return,
-				Emitted:   r.Emitted,
-				FaultCode: r.FaultCode,
-				FaultMsg:  r.FaultMsg,
-				FuelUsed:  r.FuelUsed,
-				Exec:      time.Duration(r.ExecNanos),
-			},
-		})
-		touched |= 1 << uint(part.idx)
+		b.pushResult(p, &m.Results[i])
 	}
-	for _, part := range b.parts {
-		if touched&(1<<uint(part.idx)) != 0 {
-			b.pump(part)
-		}
-	}
+	b.pump()
+}
+
+// pushResult publishes one result report on the ingress ring.
+func (b *Broker) pushResult(p *providerState, r *wire.AttemptResult) {
+	b.ring.push(&engineEvent{
+		kind: evResult,
+		prov: p,
+		res: core.Result{
+			Tasklet:   r.Tasklet,
+			Attempt:   r.Attempt,
+			Provider:  p.info.ID,
+			Status:    r.Status,
+			Return:    r.Return,
+			Emitted:   r.Emitted,
+			FaultCode: r.FaultCode,
+			FaultMsg:  r.FaultMsg,
+			FuelUsed:  r.FuelUsed,
+			Exec:      time.Duration(r.ExecNanos),
+		},
+	})
 }
 
 // updateReliabilityLocked refreshes the completion-ratio estimate. Callers
@@ -961,7 +874,7 @@ done:
 }
 
 // acceptJob validates and admits a job, submitting its tasklets to the
-// partition lifecycle engines.
+// lifecycle engine.
 func (b *Broker) acceptJob(c *consumerState, m *wire.SubmitJob) error {
 	spec := core.JobSpec{
 		Program: m.Program, Params: m.Params, QoC: m.QoC, Fuel: m.Fuel, Seed: m.Seed,
@@ -1000,16 +913,13 @@ func (b *Broker) acceptJob(c *consumerState, m *wire.SubmitJob) error {
 	c.jobs[job.id] = true
 	c.pending += n
 
-	// Tasklet IDs are allocated as one contiguous run so P=1 keeps the
-	// legacy sequence, then the whole job is grouped per partition: each
-	// group is one bulk Apply under its partition's effect-scratch reset
-	// (one group — the legacy single bulk Submit — when Partitions is 1).
-	// JobAccepted is queued before any engine runs so the consumer has
-	// registered the job before its first ResultPush (cache hits deliver
-	// from the partition walk below).
+	// Tasklet IDs are allocated as one contiguous run and the whole job is
+	// one bulk Submit. JobAccepted is queued before the engine runs so the
+	// consumer has registered the job before its first ResultPush (cache
+	// hits deliver from feed below).
 	base := core.TaskletID(b.nextTasklet.Add(uint64(n)) - uint64(n))
 	now := time.Now()
-	groups := make([][]lifecycle.Event, len(b.parts))
+	evs := make([]lifecycle.Event, 0, n)
 	for i, params := range m.Params {
 		tid := base + core.TaskletID(i) + 1
 		t := core.Tasklet{
@@ -1023,16 +933,13 @@ func (b *Broker) acceptJob(c *consumerState, m *wire.SubmitJob) error {
 		if b.memoOn {
 			ev.Key, ev.HaveKey = memo.KeyFor(uint64(progID), t.Seed, t.Params)
 		}
-		pi := b.part(tid).idx
-		groups[pi] = append(groups[pi], ev)
+		evs = append(evs, ev)
 	}
 	b.mSubmitted.Add(int64(n))
 	b.enqueue(c.out, &wire.JobAccepted{Job: job.id, Tasklets: job.total}, c.nc, &c.dropWarned, c.label)
 	b.jobMu.Unlock()
 
-	for pi, evs := range groups {
-		b.feedPartition(b.parts[pi], evs)
-	}
+	b.feed(evs)
 	b.logf("broker: job %d accepted: %d tasklets, qoc %s", job.id, job.total, m.QoC.Mode)
 	b.schedule()
 	return nil
@@ -1132,12 +1039,12 @@ func (b *Broker) removeConsumer(c *consumerState) {
 
 // ---------- scheduling ----------
 
-// schedulePassLocked drains the partition placement queues round-robin,
-// assigning attempts to providers according to the policy. Entries whose
+// schedulePassLocked drains the placement queue, assigning attempts to
+// providers according to the policy. Entries whose
 // tasklet vanished (job cancelled, already complete) are purged. Entries
 // with no eligible provider stay queued. Event handlers never call this
 // directly — they call schedule, which batches an event-burst into one pass
-// run by schedLoop. The pass starts by folding partition-side slot
+// run by schedLoop. The pass starts by folding combiner-side slot
 // settlements into the index (syncDirtyProvidersLocked), keeping the index
 // single-writer.
 //
@@ -1154,97 +1061,79 @@ func (b *Broker) schedulePassLocked() {
 		return
 	}
 	start := time.Now()
-	placed := 0
-	totalFree := -1
-	if b.index == nil {
-		totalFree = 0
-		for _, p := range b.providers {
-			if p.info.Slots > 0 {
-				totalFree += int(p.free.Load())
-			}
-		}
+	var placed int
+	b.emu.Lock()
+	if b.index != nil {
+		placed = b.drainIndexedLocked()
+	} else {
+		placed = b.drainLegacyLocked()
 	}
-	for _, part := range b.parts {
-		part.mu.Lock()
-		if b.index != nil {
-			placed += b.drainPartitionIndexedLocked(part)
-		} else {
-			placed += b.drainPartitionLegacyLocked(part, &totalFree)
-		}
-		part.mu.Unlock()
+	b.emu.Unlock()
+	if placed > 0 {
+		// Counted before the staged batches leave, so their results are
+		// never seen ahead of their launches. One counter update per pass,
+		// not per attempt.
+		b.mPlaced.Add(int64(placed))
+		b.mLaunched.Add(int64(placed))
 	}
 	b.flushAssignBatchesLocked()
 	b.mSchedPassNS.Observe(float64(time.Since(start)))
-	if placed > 0 {
-		b.mPlaced.Add(int64(placed))
-		b.mLaunched.Add(int64(placed)) // one counter update per pass, not per attempt
-	}
 	b.mPendingDep.Set(b.pendingN.Load())
 }
 
-// drainPartitionIndexedLocked walks one partition's queue through the
-// incremental index. Callers hold b.mu and part.mu.
-func (b *Broker) drainPartitionIndexedLocked(part *partition) int {
-	if len(part.pending) == 0 {
-		return 0
-	}
+// drainIndexedLocked walks the placement queue through the incremental
+// index. Callers hold b.mu and b.emu.
+func (b *Broker) drainIndexedLocked() int {
 	placed := 0
-	before := len(part.pending)
-	remaining := part.pending[:0]
-	for idx, tid := range part.pending {
-		// Without free capacity nothing below can place; keep the rest of
-		// the queue as-is instead of walking it (the queue can hold many
-		// thousands of entries and schedule runs on every result).
+	removed := b.queue.walk(func(tid core.TaskletID) (remove, stop bool) {
+		// Without free capacity nothing further can place; leave the rest
+		// of the queue unwalked (it can hold many thousands of entries and
+		// a pass runs on every result burst).
 		if b.index.FreeSlots() <= 0 {
-			remaining = append(remaining, part.pending[idx:]...)
-			break
+			return false, true
 		}
-		t := part.life.Tasklet(tid)
+		t := b.life.Tasklet(tid)
 		if t == nil {
-			continue
+			return true, false
 		}
-		b.exclScratch = part.life.AppendActiveProviders(tid, b.exclScratch[:0])
+		b.exclScratch = b.life.AppendActiveProviders(tid, b.exclScratch[:0])
 		pid, ok := b.index.Pick(t, b.exclScratch)
 		if !ok {
-			remaining = append(remaining, tid)
-			continue
+			return false, false
 		}
 		p := b.providers[pid]
 		if p == nil || p.free.Load() <= 0 {
-			remaining = append(remaining, tid)
-			continue
+			return false, false
 		}
-		if b.launchAttemptLocked(part, t, p) {
+		if b.launchAttemptLocked(t, p) {
 			placed++
 		}
-	}
-	part.pending = remaining
-	b.pendingN.Add(int64(len(remaining) - before))
+		return true, false
+	})
+	b.pendingN.Add(-int64(removed))
 	return placed
 }
 
-// drainPartitionLegacyLocked is the full-scan variant: the candidate view
-// is rebuilt for every pick because free/backlog change as attempts are
-// assigned. Kept for the E10 ablation and for policies without an indexed
-// form. totalFree is shared across partitions within one pass.
-func (b *Broker) drainPartitionLegacyLocked(part *partition, totalFree *int) int {
-	if len(part.pending) == 0 {
-		return 0
+// drainLegacyLocked is the full-scan variant: the candidate view is rebuilt
+// for every pick because free/backlog change as attempts are assigned. Kept
+// for the E10 ablation and for policies without an indexed form. Callers
+// hold b.mu and b.emu.
+func (b *Broker) drainLegacyLocked() int {
+	totalFree := 0
+	for _, p := range b.providers {
+		if p.info.Slots > 0 {
+			totalFree += int(p.free.Load())
+		}
 	}
 	placed := 0
-	before := len(part.pending)
-	remaining := part.pending[:0]
-	for idx, tid := range part.pending {
-		if *totalFree <= 0 {
-			remaining = append(remaining, part.pending[idx:]...)
-			break
+	removed := b.queue.walk(func(tid core.TaskletID) (remove, stop bool) {
+		if totalFree <= 0 {
+			return false, true
 		}
-		t := part.life.Tasklet(tid)
+		t := b.life.Tasklet(tid)
 		if t == nil {
-			continue
+			return true, false
 		}
-		// Rebuild the candidate view each pick; free/backlog change as we
-		// assign.
 		cands := b.candScratch[:0]
 		for _, p := range b.providers {
 			if p.info.Slots == 0 {
@@ -1255,25 +1144,22 @@ func (b *Broker) drainPartitionLegacyLocked(part *partition, totalFree *int) int
 			})
 		}
 		b.candScratch = cands
-		b.exclScratch = part.life.AppendActiveProviders(tid, b.exclScratch[:0])
-		req := scheduler.Request{Tasklet: t, ExcludeIDs: b.exclScratch}
-		pid, ok := b.opts.Policy.Pick(req, cands)
+		b.exclScratch = b.life.AppendActiveProviders(tid, b.exclScratch[:0])
+		pid, ok := b.opts.Policy.Pick(scheduler.Request{Tasklet: t, ExcludeIDs: b.exclScratch}, cands)
 		if !ok {
-			remaining = append(remaining, tid)
-			continue
+			return false, false
 		}
 		p := b.providers[pid]
 		if p == nil || p.free.Load() <= 0 {
-			remaining = append(remaining, tid)
-			continue
+			return false, false
 		}
-		if b.launchAttemptLocked(part, t, p) {
+		if b.launchAttemptLocked(t, p) {
 			placed++
 		}
-		*totalFree--
-	}
-	part.pending = remaining
-	b.pendingN.Add(int64(len(remaining) - before))
+		totalFree--
+		return true, false
+	})
+	b.pendingN.Add(-int64(removed))
 	return placed
 }
 
@@ -1281,9 +1167,9 @@ func (b *Broker) drainPartitionLegacyLocked(part *partition, totalFree *int) int
 // batch-capable providers the assignment is staged into the provider's
 // per-pass AssignBatch (flushed by flushAssignBatchesLocked at the end of
 // the placement pass) instead of sent as its own frame. Callers hold b.mu
-// and the partition lock of t's partition.
-func (b *Broker) launchAttemptLocked(part *partition, t *core.Tasklet, p *providerState) bool {
-	aid, ok := part.life.Launched(t.ID, p.info.ID)
+// and b.emu.
+func (b *Broker) launchAttemptLocked(t *core.Tasklet, p *providerState) bool {
+	aid, ok := b.life.Launched(t.ID, p.info.ID)
 	if !ok {
 		return false // defensive; callers checked liveness under the same lock
 	}
@@ -1408,11 +1294,9 @@ type Snapshot struct {
 // Snapshot returns current broker state.
 func (b *Broker) Snapshot() Snapshot {
 	s := Snapshot{Pending: int(b.pendingN.Load())}
-	for _, part := range b.parts {
-		part.mu.Lock()
-		s.InFlight += part.life.InFlight()
-		part.mu.Unlock()
-	}
+	b.emu.Lock()
+	s.InFlight = b.life.InFlight()
+	b.emu.Unlock()
 	b.jobMu.Lock()
 	s.Jobs = len(b.jobs)
 	b.jobMu.Unlock()

@@ -3,7 +3,7 @@ package broker
 import (
 	"context"
 	"fmt"
-	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -13,72 +13,24 @@ import (
 	"repro/internal/provider"
 )
 
-// runJobWithPartitions runs one deterministic job through a fresh stack with
-// the given partition count (1 = the single-stripe legacy-equivalent core).
-func runJobWithPartitions(t *testing.T, partitions int) []consumer.TaskResult {
-	t.Helper()
-	b := New(Options{Partitions: partitions})
-	if got := len(b.parts); got != partitions {
-		t.Fatalf("Partitions=%d built %d partitions", partitions, got)
-	}
-	addr, err := b.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { b.Close() })
-	for i := 0; i < 3; i++ {
-		p, err := provider.Connect(provider.Options{
-			BrokerAddr: addr, Slots: 2, Speed: 100, Name: fmt.Sprintf("p%d", i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { p.Close() })
-	}
-	c, err := consumer.Connect(addr, "part-diff")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+// heavySrc is a ~20x heavier slowSrc: a few-millisecond QoC deadline is
+// unmeetable even on a fast idle provider, so deadline jobs built from it
+// always expire on the timer wheel.
+const heavySrc = `func main(n int) int {
+	var s int = 0;
+	for (var i int = 0; i < 400000; i = i + 1) { s = s + i; }
+	return n * n;
+}`
 
-	const n = 96
-	job, err := c.Submit(compileJob(t, squareSrc, intRows(n)...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := job.Collect(ctxT(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// TestDifferentialPartitionsBitIdentical is the ablation contract for the
-// partitioned core: -partitions=1 must be event-identical to the legacy
-// serialized broker, and a multi-partition run of the same job must produce
-// bit-identical results (status, return values, emits, faults) — the stripes
-// change where lifecycle state lives, never what the consumer sees.
-func TestDifferentialPartitionsBitIdentical(t *testing.T) {
-	one := essences(runJobWithPartitions(t, 1))
-	four := essences(runJobWithPartitions(t, 4))
-	if !reflect.DeepEqual(one, four) {
-		t.Fatalf("results diverge between 1 and 4 partitions:\nP=1: %+v\nP=4: %+v", one, four)
-	}
-	for i, r := range one {
-		if r.Status != core.StatusOK {
-			t.Fatalf("result[%d] = %+v, want OK %d", i, r, i*i)
-		}
-	}
-}
-
-// TestPartitionStressInterleaved hammers a 4-partition broker with
-// interleaved submits, results, QoC deadlines, job cancels, and a provider
-// loss, then asserts the two partition-safety invariants: no tasklet is
+// TestEngineStressInterleaved hammers the broker's single lifecycle engine
+// with interleaved submits, results, QoC deadlines, job cancels, and a
+// provider loss, then asserts the engine-safety invariants: no tasklet is
 // finalized twice (every surviving job yields exactly one result per index)
 // and no attempt leaks (all lifecycle state drains to zero once the dust
-// settles). Run it under -race and the ingress rings, timer wheels, combiner
-// handoff and striped counters are all exercised across stripes.
-func TestPartitionStressInterleaved(t *testing.T) {
-	b := New(Options{Partitions: 4, RetryBackoff: time.Millisecond})
+// settles). Run it under -race (and -cpu 1,2,4) and the ingress ring, timer
+// wheel and combiner handoff are all exercised by concurrent producers.
+func TestEngineStressInterleaved(t *testing.T) {
+	b := New(Options{RetryBackoff: time.Millisecond})
 	addr, err := b.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -114,15 +66,9 @@ func TestPartitionStressInterleaved(t *testing.T) {
 	const jobsPerWorker = 6
 	const n = 24
 	// Compiled once on the test goroutine; workers copy them (compileJob uses
-	// t.Fatal, which must not run off the test goroutine). Deadline jobs use
-	// a ~20x heavier loop so their 3ms budget is unmeetable even on a fast
-	// idle provider — every run drives expirations through the wheel.
+	// t.Fatal, which must not run off the test goroutine). Deadline jobs run
+	// heavySrc, so every run drives expirations through the wheel.
 	baseSpec := compileJob(t, slowSrc, intRows(n)...)
-	heavySrc := `func main(n int) int {
-		var s int = 0;
-		for (var i int = 0; i < 400000; i = i + 1) { s = s + i; }
-		return n * n;
-	}`
 	heavySpec := compileJob(t, heavySrc, intRows(n)...)
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
@@ -188,7 +134,7 @@ func TestPartitionStressInterleaved(t *testing.T) {
 	}
 
 	time.Sleep(25 * time.Millisecond)
-	doomed.Close() // mid-run provider loss across every partition
+	doomed.Close() // mid-run provider loss
 
 	wg.Wait()
 	close(errs)
@@ -220,5 +166,82 @@ func TestPartitionStressInterleaved(t *testing.T) {
 	}
 	if m.Counter("attempts.lost").Value() == 0 {
 		t.Error("provider loss produced no lost attempts")
+	}
+}
+
+// TestNoGoroutineLeak runs a live broker, two providers and a consumer
+// through jobs that arm QoC deadlines and re-issue lost attempts with a
+// retry backoff (one provider dies while holding attempts, so the timer
+// wheel's launch path runs), closes everything, and requires the goroutine
+// count to return to its pre-test baseline. A long-running broker must not
+// accumulate goroutines per tasklet, timer or connection.
+func TestNoGoroutineLeak(t *testing.T) {
+	before := runtime.NumGoroutine()
+	func() {
+		b := New(Options{RetryBackoff: 2 * time.Millisecond})
+		addr, err := b.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		steady, err := provider.Connect(provider.Options{
+			BrokerAddr: addr, Slots: 2, Speed: 100, Name: "steady"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer steady.Close()
+		doomed, err := provider.Connect(provider.Options{
+			BrokerAddr: addr, Slots: 2, Speed: 100, Throttle: 0.05, Name: "doomed"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer doomed.Close()
+		c, err := consumer.Connect(addr, "leak")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+
+		const n = 16
+		// heavySrc keeps the throttled provider busy well past the sleep
+		// below, so its loss always strands attempts.
+		retried, err := c.Submit(compileJob(t, heavySrc, intRows(n)...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadlined := compileJob(t, heavySrc, intRows(n)...)
+		deadlined.QoC = core.QoC{Deadline: 3 * time.Millisecond}
+		expiring, err := c.Submit(deadlined)
+		if err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(10 * time.Millisecond)
+		doomed.Close()
+		for _, job := range []*consumer.Job{retried, expiring} {
+			res, err := job.Collect(ctxT(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res) != n {
+				t.Fatalf("job %d: %d results, want %d", job.ID, len(res), n)
+			}
+		}
+		m := b.Metrics()
+		if m.Counter("attempts.lost").Value() == 0 {
+			t.Error("provider loss produced no lost attempts (backoff path not exercised)")
+		}
+		if m.Counter("tasklets.deadline_expired").Value() == 0 {
+			t.Error("no deadline expired (wheel deadline path not exercised)")
+		}
+	}()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("goroutines: %d before, %d after close\n%s", before, runtime.NumGoroutine(), buf)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

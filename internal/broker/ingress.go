@@ -7,46 +7,46 @@ import (
 	"repro/internal/core"
 )
 
-// This file implements the per-partition MPSC ingress ring: the contention
+// This file implements the engine's MPSC ingress ring: the contention
 // boundary between the provider reader goroutines (many producers decoding
-// results off their sockets) and the partition combiner (one consumer at a
-// time, elected by CAS — see partition.go). Producers reserve a slot with
+// results off their sockets) and the engine combiner (one consumer at a
+// time, elected by CAS — see engine.go). Producers reserve a slot with
 // one CAS on the enqueue cursor; the consumer runs lock-free on a cursor
 // only it touches. The design is the classic bounded seq-ring (Vyukov),
 // restricted to a single consumer.
 
-// partEvent kinds routed through the ring.
+// engineEvent kinds routed through the ring.
 const (
-	peResult uint8 = iota + 1
-	// peDeadline fires when a tasklet's QoC deadline elapses on the
-	// partition timer wheel.
-	peDeadline
-	// peLaunchReady fires when a backoff-delayed re-issue becomes eligible
+	evResult uint8 = iota + 1
+	// evDeadline fires when a tasklet's QoC deadline elapses on the timer
+	// wheel.
+	evDeadline
+	// evLaunchReady fires when a backoff-delayed re-issue becomes eligible
 	// for placement.
-	peLaunchReady
+	evLaunchReady
 )
 
-// partEvent is one unit of partition input: a decoded attempt result
+// engineEvent is one unit of engine input: a decoded attempt result
 // (carrying its provider so the combiner can settle slot accounting), or a
 // timer-wheel firing.
-type partEvent struct {
+type engineEvent struct {
 	kind uint8
-	prov *providerState // peResult only
-	res  core.Result    // peResult only
-	tid  core.TaskletID // peDeadline, peLaunchReady
+	prov *providerState // evResult only
+	res  core.Result    // evResult only
+	tid  core.TaskletID // evDeadline, evLaunchReady
 }
 
 const ingressRingSize = 1024 // power of two
 
 type ringSlot struct {
 	seq atomic.Uint64
-	ev  partEvent
+	ev  engineEvent
 }
 
 // ingressRing is a bounded multi-producer single-consumer queue. push blocks
 // (spinning with Gosched) when the ring is full — backpressure onto the
 // producing reader goroutine, never loss. The single consumer is enforced by
-// the partition's draining flag, not by the ring itself.
+// the broker's draining flag, not by the ring itself.
 type ingressRing struct {
 	slots []ringSlot
 	mask  uint64
@@ -66,7 +66,7 @@ func newIngressRing() *ingressRing {
 // push publishes one event, waiting out a full ring. Safe for any number of
 // concurrent producers. The combiner never calls push while draining, so the
 // wait cannot deadlock: the elected consumer always makes progress.
-func (r *ingressRing) push(ev *partEvent) {
+func (r *ingressRing) push(ev *engineEvent) {
 	pos := r.enq.Load()
 	for {
 		slot := &r.slots[pos&r.mask]
@@ -90,14 +90,14 @@ func (r *ingressRing) push(ev *partEvent) {
 
 // pop moves the next event into *ev, returning false when the ring is
 // empty. Single consumer only.
-func (r *ingressRing) pop(ev *partEvent) bool {
+func (r *ingressRing) pop(ev *engineEvent) bool {
 	deq := r.deq.Load()
 	slot := &r.slots[deq&r.mask]
 	if slot.seq.Load() != deq+1 {
 		return false
 	}
 	*ev = slot.ev
-	slot.ev = partEvent{} // drop the provider/result references for GC
+	slot.ev = engineEvent{} // drop the provider/result references for GC
 	slot.seq.Store(deq + uint64(len(r.slots)))
 	r.deq.Store(deq + 1)
 	return true

@@ -31,7 +31,6 @@ func benchBroker(b *testing.B, p int, noIndex bool) *Broker {
 	br := New(Options{
 		Policy:      scheduler.NewWorkSteal(),
 		NoIndex:     noIndex,
-		Partitions:  1,
 		MemoEntries: -1, MemoBytes: -1, MemoTTL: -1,
 	})
 	for i := 0; i < p; i++ {
@@ -66,11 +65,10 @@ func benchBroker(b *testing.B, p int, noIndex bool) *Broker {
 // submitted to the lifecycle engine and its launch effect applied to the
 // placement queue by hand (no memo keys, so Submit emits exactly one Launch).
 func enqueueBatch(br *Broker, k int) {
-	part := br.parts[0]
 	for i := 0; i < k; i++ {
 		tid := core.TaskletID(br.nextTasklet.Add(1))
-		part.life.Submit(core.Tasklet{ID: tid, Job: 1, Index: i, Fuel: 1_000_000}, "", false)
-		part.pending = append(part.pending, tid)
+		br.life.Submit(core.Tasklet{ID: tid, Job: 1, Index: i, Fuel: 1_000_000}, "", false)
+		br.queue.push(1, tid)
 		br.pendingN.Add(1)
 	}
 }
@@ -79,9 +77,8 @@ func enqueueBatch(br *Broker, k int) {
 // iteration sees an idle fleet: every attempt completes (finalizing its
 // best-effort tasklet in the engine), and the fleet accounting is restored.
 func drainBatch(br *Broker, b *testing.B) {
-	part := br.parts[0]
 	attempts := make([]core.Result, 0, 256)
-	part.life.VisitAttempts(func(id core.AttemptID, tid core.TaskletID, pid core.ProviderID, _ bool) {
+	br.life.VisitAttempts(func(id core.AttemptID, tid core.TaskletID, pid core.ProviderID, _ bool) {
 		attempts = append(attempts, core.Result{
 			Attempt: id, Tasklet: tid, Provider: pid, Status: core.StatusOK,
 		})
@@ -93,12 +90,12 @@ func drainBatch(br *Broker, b *testing.B) {
 		p.finished.Add(1)
 		br.updateReliabilityLocked(p)
 		br.index.Complete(p.info.ID)
-		part.life.Result(res)
+		br.life.Result(res)
 	}
-	if len(part.pending) != 0 {
-		b.Fatalf("%d tasklets unplaced", len(part.pending))
+	if n := br.pendingN.Load(); n != 0 {
+		b.Fatalf("%d tasklets unplaced", n)
 	}
-	if n := part.life.Pending(); n != 0 {
+	if n := br.life.Pending(); n != 0 {
 		b.Fatalf("%d tasklets still live in the engine", n)
 	}
 }

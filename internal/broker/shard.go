@@ -2,7 +2,7 @@
 // exchange.
 //
 // A shard group runs N brokers, each a complete broker (its own providers,
-// consumers, lifecycle partitions, memo tier). Clients route each job to a
+// consumers, lifecycle engine, memo tier). Clients route each job to a
 // shard by consistent hash of its program hash (shard.Ring), so memo and
 // flight tables shard naturally: identical tasklets land on the same
 // broker. Peers connect with wire.RolePeer and exchange two things:
@@ -28,9 +28,9 @@
 // authoritative.
 //
 // All exchange state (peers, links, migrated, adopted, the gossip EWMA)
-// lives under b.exMu. exMu may nest partition locks (the migrate-request
+// lives under b.exMu. exMu may nest the engine lock (the migrate-request
 // scan) and progMu, but never b.mu or jobMu: re-homing collects work under
-// exMu and applies it through jobMu/partitions after release.
+// exMu and applies it through jobMu/the engine after release.
 package broker
 
 import (
@@ -293,9 +293,8 @@ func (b *Broker) removePeer(ps *peerState) {
 	}
 	b.exMu.Unlock()
 
-	// A dead link can strand a whole exchange burst; re-home it through the
-	// partitions in per-partition bulk Submits instead of one engine call
-	// per tasklet.
+	// A dead link can strand a whole exchange burst; re-home it as one bulk
+	// Submit instead of one engine call per tasklet.
 	if len(back) > 0 {
 		b.resubmitMigrated(back)
 	}
@@ -317,7 +316,7 @@ func (b *Broker) removePeer(ps *peerState) {
 // link death). The job accounting never noticed the detour: each tasklet
 // gets a fresh ID under the same job slot. Callers hold no locks.
 func (b *Broker) resubmitMigrated(back []migratedRec) {
-	groups := make([][]lifecycle.Event, len(b.parts))
+	evs := make([]lifecycle.Event, 0, len(back))
 	b.jobMu.Lock()
 	for _, rec := range back {
 		job := b.jobs[rec.t.Job]
@@ -337,13 +336,10 @@ func (b *Broker) resubmitMigrated(back []migratedRec) {
 		if b.memoOn {
 			ev.Key, ev.HaveKey = memo.KeyFor(uint64(t.Program), t.Seed, t.Params)
 		}
-		pi := b.part(t.ID).idx
-		groups[pi] = append(groups[pi], ev)
+		evs = append(evs, ev)
 	}
 	b.jobMu.Unlock()
-	for pi, evs := range groups {
-		b.feedPartition(b.parts[pi], evs)
-	}
+	b.feed(evs)
 	b.schedule()
 }
 
@@ -454,8 +450,8 @@ func (b *Broker) onGossip(ps *peerState, m *wire.ShardGossip) {
 // first (the back of a queue has waited least; the front is about to
 // place anyway). Only queued work with no attempts in flight and no armed
 // deadline moves; each is cancelled locally before it travels. The scan
-// nests partition locks under exMu (the one allowed exMu → part.mu
-// nesting); holding exMu throughout pins ps alive across the enqueues.
+// nests the engine lock under exMu (the one allowed exMu → emu nesting);
+// holding exMu throughout pins ps alive across the enqueues.
 func (b *Broker) onMigrateRequest(ps *peerState, m *wire.MigrateRequest) {
 	var out []lifecycle.Effect
 	picked := 0
@@ -470,64 +466,51 @@ func (b *Broker) onMigrateRequest(ps *peerState, m *wire.MigrateRequest) {
 	if c := b.opts.ExchangePolicy.MaxPull; lim > c {
 		lim = c
 	}
-	for pi := len(b.parts) - 1; pi >= 0 && picked < lim; pi-- {
-		part := b.parts[pi]
-		part.mu.Lock()
-		var taken map[core.TaskletID]bool
-		for i := len(part.pending) - 1; i >= 0 && picked < lim; i-- {
-			tid := part.pending[i]
-			if taken[tid] {
-				continue // voting fan-out queues one entry per replica
-			}
-			t := part.life.Tasklet(tid)
-			if t == nil {
-				continue
-			}
-			if part.wheel.hasDeadline(tid) {
-				continue // the local deadline timer stays authoritative
-			}
-			if _, isAdopted := b.adopted[tid]; isAdopted {
-				// Adopted work never re-migrates: its only job accounting lives
-				// at the origin shard, so a failed onward hop could not be
-				// re-submitted here (no local job record to hang it on).
-				continue
-			}
-			if len(part.life.AppendActiveProviders(tid, nil)) > 0 {
-				continue // partially in flight (voting); never migrate those
-			}
-			if taken == nil {
-				taken = map[core.TaskletID]bool{}
-			}
-			taken[tid] = true
-			// Copy before Cancel: the engine recycles tasklet state.
-			tc := *t
-			if _, fx := part.life.Cancel(tid); fx != nil {
-				out, _ = b.applyPartFxLocked(part, fx, out)
-			}
-			b.migrated[tid] = migratedRec{t: tc, peer: m.Shard, link: ps}
-			b.enqueue(ps.out, &wire.MigrateTasklet{
-				Origin:      tid,
-				Program:     tc.Program,
-				ProgramData: b.program(tc.Program),
-				Params:      tc.Params,
-				QoC:         tc.QoC,
-				Fuel:        tc.Fuel,
-				Seed:        tc.Seed,
-			}, ps.nc, &ps.dropWarned, ps.label)
-			picked++
+	b.emu.Lock()
+	b.queue.walkBack(func(tid core.TaskletID) (stop bool) {
+		if picked >= lim {
+			return true
 		}
-		if taken != nil {
-			keep := part.pending[:0]
-			for _, tid := range part.pending {
-				if !taken[tid] {
-					keep = append(keep, tid)
-				}
-			}
-			b.pendingN.Add(int64(len(keep) - len(part.pending)))
-			part.pending = keep
+		t := b.life.Tasklet(tid)
+		if t == nil {
+			return false // a voting replica of a tasklet taken above
 		}
-		part.mu.Unlock()
+		if b.wheel.hasDeadline(tid) {
+			return false // the local deadline timer stays authoritative
+		}
+		if _, isAdopted := b.adopted[tid]; isAdopted {
+			// Adopted work never re-migrates: its only job accounting lives
+			// at the origin shard, so a failed onward hop could not be
+			// re-submitted here (no local job record to hang it on).
+			return false
+		}
+		if len(b.life.AppendActiveProviders(tid, nil)) > 0 {
+			return false // partially in flight (voting); never migrate those
+		}
+		// Copy before Cancel: the engine recycles tasklet state.
+		tc := *t
+		if _, fx := b.life.Cancel(tid); fx != nil {
+			out, _ = b.applyFxLocked(fx, out)
+		}
+		b.migrated[tid] = migratedRec{t: tc, peer: m.Shard, link: ps}
+		b.enqueue(ps.out, &wire.MigrateTasklet{
+			Origin:      tid,
+			Program:     tc.Program,
+			ProgramData: b.program(tc.Program),
+			Params:      tc.Params,
+			QoC:         tc.QoC,
+			Fuel:        tc.Fuel,
+			Seed:        tc.Seed,
+		}, ps.nc, &ps.dropWarned, ps.label)
+		picked++
+		return false
+	})
+	if picked > 0 {
+		// Drop every queue entry of the cancelled tasklets, voting replicas
+		// included.
+		b.purgeLocked()
 	}
+	b.emu.Unlock()
 	b.exMu.Unlock()
 
 	if picked == 0 {
@@ -543,7 +526,7 @@ func (b *Broker) onMigrateRequest(ps *peerState, m *wire.MigrateRequest) {
 }
 
 // onMigrateTasklet adopts a tasklet from a peer: fresh local ID, fresh
-// Submit through this shard's lifecycle partitions (memo and coalescing
+// Submit through this shard's lifecycle engine (memo and coalescing
 // apply in this shard's key space).
 func (b *Broker) onMigrateTasklet(ps *peerState, m *wire.MigrateTasklet) {
 	reject := func() {
@@ -590,7 +573,7 @@ func (b *Broker) onMigrateTasklet(ps *peerState, m *wire.MigrateTasklet) {
 	if b.memoOn {
 		ev.Key, ev.HaveKey = memo.KeyFor(uint64(t.Program), t.Seed, t.Params)
 	}
-	b.feedPartition(b.part(t.ID), []lifecycle.Event{ev})
+	b.feed([]lifecycle.Event{ev})
 	b.schedule()
 }
 

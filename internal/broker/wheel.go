@@ -7,14 +7,13 @@ import (
 	"repro/internal/core"
 )
 
-// This file implements the per-partition hashed timer wheel that replaces
-// the broker's per-tasklet time.AfterFunc timers: one goroutine per
-// partition serves every QoC deadline and every RetryBackoff re-issue delay
-// in that partition, instead of one runtime timer (and, on expiry, one
-// goroutine) per in-flight tasklet. Entries hash into a fixed ring of slots
-// by expiry tick; the goroutine sleeps while the wheel is empty and
-// otherwise advances once per tick, firing due entries through a callback
-// that feeds the partition's ingress ring.
+// This file implements the hashed timer wheel that replaces the broker's
+// per-tasklet time.AfterFunc timers: one goroutine serves every QoC
+// deadline and every RetryBackoff re-issue delay, instead of one runtime
+// timer (and, on expiry, one goroutine) per in-flight tasklet. Entries hash
+// into a fixed ring of slots by expiry tick; the goroutine sleeps while the
+// wheel is empty and otherwise advances once per tick, firing due entries
+// through a callback that feeds the engine's ingress ring.
 
 const (
 	wheelSlots = 256
@@ -160,7 +159,7 @@ func (w *timerWheel) advance(now time.Time, due []*wheelEntry) []*wheelEntry {
 	return due
 }
 
-// run is the partition's timer goroutine: asleep while the wheel is empty,
+// run is the broker's timer goroutine: asleep while the wheel is empty,
 // ticking while armed. Fire callbacks run without the wheel lock.
 func (w *timerWheel) run(stop <-chan struct{}) {
 	timer := time.NewTimer(wheelTick)

@@ -102,14 +102,14 @@ func TestWheelRunFires(t *testing.T) {
 // wrapping past its capacity.
 func TestIngressRingFIFO(t *testing.T) {
 	r := newIngressRing()
-	var ev partEvent
+	var ev engineEvent
 	if r.pop(&ev) || r.hasData() {
 		t.Fatal("fresh ring claims to hold data")
 	}
 	const total = ingressRingSize*2 + 17 // force a wrap
 	popped := 0
 	for i := 0; i < total; i++ {
-		r.push(&partEvent{kind: peDeadline, tid: core.TaskletID(i)})
+		r.push(&engineEvent{kind: evDeadline, tid: core.TaskletID(i)})
 		// Drain every few pushes so the bounded ring never fills.
 		for ; r.pop(&ev); popped++ {
 			if ev.tid != core.TaskletID(popped) {
@@ -139,7 +139,7 @@ func TestIngressRingConcurrentProducers(t *testing.T) {
 			for i := 0; i < perProducer; i++ {
 				// tid encodes (producer, seq) so the consumer can check
 				// per-producer FIFO order.
-				r.push(&partEvent{kind: peResult, tid: core.TaskletID(p*perProducer + i)})
+				r.push(&engineEvent{kind: evResult, tid: core.TaskletID(p*perProducer + i)})
 			}
 		}(p)
 	}
@@ -148,7 +148,7 @@ func TestIngressRingConcurrentProducers(t *testing.T) {
 
 	next := [producers]int{}
 	seen := 0
-	var ev partEvent
+	var ev engineEvent
 	for seen < producers*perProducer {
 		if !r.pop(&ev) {
 			select {

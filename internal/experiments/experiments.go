@@ -104,7 +104,6 @@ func init() {
 		"e10": {"Figure 9 — placement latency and job throughput vs fleet size (scheduler-index ablation)", RunE10},
 		"e11": {"Figure 10 — broker sharding: aggregate throughput and work-exchange recovery", RunE11},
 		"e12": {"Figure 11 — control-plane batching: saturation throughput with batch frames on vs off", RunE12},
-		"e13": {"Figure 12 — partitioned broker core: saturation throughput vs partition count", RunE13},
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 func quick() Options { return Options{Quick: true, Seed: 7} }
 
 func TestIDsComplete(t *testing.T) {
-	want := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13"}
+	want := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12"}
 	got := IDs()
 	if len(got) != len(want) {
 		t.Fatalf("IDs = %v", got)
@@ -302,28 +302,6 @@ func TestE12BatchingShape(t *testing.T) {
 	}
 	if last := len(on.Y) - 1; on.Y[last] < 3*on.Y[0] {
 		t.Fatalf("4-shard batched throughput %.0f/s under 3x the 1-shard %.0f/s", on.Y[last], on.Y[0])
-	}
-}
-
-func TestE13PartitionShape(t *testing.T) {
-	res, err := RunE13(quick())
-	if err != nil {
-		t.Fatal(err) // RunE13 hard-fails below 1.5x simulated P=8/P=1
-	}
-	tput := res.Series[0]
-	if !strings.Contains(tput.Name, "tasklets/s") {
-		t.Fatalf("series order changed: %s", tput.Name)
-	}
-	// P=1 is the serialized legacy core; striping result processing must
-	// never slow the broker down, and the sweep ends at least 2x up.
-	for i := 1; i < tput.Len(); i++ {
-		if tput.Y[i] < tput.Y[i-1]*0.99 {
-			t.Fatalf("throughput regressed at P=%v: %v", tput.X[i], tput.Y)
-		}
-	}
-	if last := tput.Len() - 1; tput.Y[last] < 2*tput.Y[0] {
-		t.Fatalf("P=%v throughput %.0f/s under 2x the serialized %.0f/s",
-			tput.X[last], tput.Y[last], tput.Y[0])
 	}
 }
 

@@ -40,24 +40,13 @@ func newLiveStackBatch(nProviders, slots int, noBatch bool) (*liveStack, error) 
 	return newLiveStackOpts(nProviders, slots, false, noBatch)
 }
 
-// newLiveStackPartitions additionally pins the broker's lock-striped
-// partition count (1 = single-stripe legacy core); E13 ablates it.
-func newLiveStackPartitions(nProviders, slots, partitions int) (*liveStack, error) {
-	return newLiveStackFull(nProviders, slots, false, false, partitions)
-}
-
 func newLiveStackOpts(nProviders, slots int, noCoalesce, noBatch bool) (*liveStack, error) {
-	return newLiveStackFull(nProviders, slots, noCoalesce, noBatch, 0)
-}
-
-func newLiveStackFull(nProviders, slots int, noCoalesce, noBatch bool, partitions int) (*liveStack, error) {
 	// E1/E2/E7/E9 measure the raw dispatch path with repeated identical
 	// tasklets; the result memo would serve those from cache and measure
 	// the wrong thing, so it is disabled here. E8 covers the memo.
 	s := &liveStack{broker: broker.New(broker.Options{
 		MemoEntries: -1, MemoBytes: -1, MemoTTL: -1,
 		NoCoalesce: noCoalesce, NoBatch: noBatch,
-		Partitions: partitions,
 	})}
 	addr, err := s.broker.Listen("127.0.0.1:0")
 	if err != nil {

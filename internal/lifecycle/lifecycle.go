@@ -50,14 +50,6 @@ type Options struct {
 	// (the legacy behavior). The initial QoC fan-out and promoted flight
 	// waiters are never delayed.
 	RetryBackoff time.Duration
-
-	// AttemptOffset and AttemptStride partition the attempt-ID space for
-	// drivers that run several engines side by side (the partitioned
-	// broker): engine i of P passes Offset=i, Stride=P and allocates IDs
-	// i+P, i+2P, ... — disjoint across engines, never zero. The zero values
-	// select the legacy single-engine sequence 1, 2, 3, ...
-	AttemptOffset uint64
-	AttemptStride uint64
 }
 
 // Disposition classifies what Result did with an attempt outcome.
@@ -118,13 +110,10 @@ type Engine struct {
 	tasklets map[core.TaskletID]*taskletState
 	attempts map[core.AttemptID]attemptEntry
 
-	// nextAttempt allocates attempt IDs in launch order, advancing by
-	// strideAttempt each launch. With the default offset 0 / stride 1 this
-	// is the same single counter the broker and simulator used before the
-	// extraction, so attempt IDs are bit-identical to the legacy
-	// implementations.
-	nextAttempt   core.AttemptID
-	strideAttempt core.AttemptID
+	// nextAttempt allocates attempt IDs in launch order: the same single
+	// counter the broker and simulator used before the extraction, so
+	// attempt IDs are bit-identical to the legacy implementations.
+	nextAttempt core.AttemptID
 
 	// fx is the effect scratch returned by event methods; valid until the
 	// next call.
@@ -138,16 +127,10 @@ type Engine struct {
 
 // New builds an engine.
 func New(opts Options) *Engine {
-	stride := core.AttemptID(opts.AttemptStride)
-	if stride == 0 {
-		stride = 1
-	}
 	return &Engine{
-		opts:          opts,
-		tasklets:      map[core.TaskletID]*taskletState{},
-		attempts:      map[core.AttemptID]attemptEntry{},
-		nextAttempt:   core.AttemptID(opts.AttemptOffset),
-		strideAttempt: stride,
+		opts:     opts,
+		tasklets: map[core.TaskletID]*taskletState{},
+		attempts: map[core.AttemptID]attemptEntry{},
 	}
 }
 
@@ -220,7 +203,7 @@ func (e *Engine) Launched(tid core.TaskletID, pid core.ProviderID) (core.Attempt
 	if ts == nil {
 		return 0, false
 	}
-	e.nextAttempt += e.strideAttempt
+	e.nextAttempt++
 	aid := e.nextAttempt
 	e.attempts[aid] = attemptEntry{tasklet: tid, provider: pid}
 	if ts.queued > 0 {

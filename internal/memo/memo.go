@@ -182,10 +182,9 @@ type Config struct {
 // Cache is a bounded, TTL-expiring, content-addressed LRU of finalized
 // tasklet results. All methods are safe to call on a nil receiver (they
 // behave as a cache that never hits and never stores). The cache carries its
-// own mutex so it can be shared by concurrent callers — the partitioned
-// broker runs one cache under all partition engines so repeats hit across
-// partitions. Returned entries are immutable after storage; callers clone
-// via CachedResult before mutating anything.
+// own mutex, so it is safe to share between concurrent callers. Returned
+// entries are immutable after storage; callers clone via CachedResult before
+// mutating anything.
 type Cache struct {
 	mu         sync.Mutex
 	maxEntries int

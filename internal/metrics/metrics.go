@@ -17,11 +17,9 @@ import (
 )
 
 // Counter is a monotonically increasing counter. The zero value is ready to
-// use. Hot counters can be lock-striped with Shard/Cell (see striped.go);
-// Value always returns the merged total.
+// use.
 type Counter struct {
-	v     atomic.Int64
-	cells atomic.Pointer[[]*CounterCell]
+	v atomic.Int64
 }
 
 // Inc adds one to the counter.
@@ -35,8 +33,8 @@ func (c *Counter) Add(delta int64) {
 	}
 }
 
-// Value returns the current count, including every stripe.
-func (c *Counter) Value() int64 { return c.v.Load() + c.cellSum() }
+// Value returns the current count.
+func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is an instantaneous value that can move in both directions. The zero
 // value is ready to use.
@@ -62,8 +60,6 @@ type Histogram struct {
 	sorted bool
 	vals   []float64
 	sum    float64
-	// cells holds lock stripes (see striped.go); parent reads drain them.
-	cells []*Histogram
 }
 
 // Observe records one sample.
@@ -83,7 +79,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 // Count returns the number of recorded samples.
 func (h *Histogram) Count() int {
 	h.mu.Lock()
-	h.drainCellsLocked()
 	defer h.mu.Unlock()
 	return len(h.vals)
 }
@@ -91,7 +86,6 @@ func (h *Histogram) Count() int {
 // Sum returns the sum of all samples.
 func (h *Histogram) Sum() float64 {
 	h.mu.Lock()
-	h.drainCellsLocked()
 	defer h.mu.Unlock()
 	return h.sum
 }
@@ -100,7 +94,6 @@ func (h *Histogram) Sum() float64 {
 // histogram.
 func (h *Histogram) Mean() float64 {
 	h.mu.Lock()
-	h.drainCellsLocked()
 	defer h.mu.Unlock()
 	if len(h.vals) == 0 {
 		return 0
@@ -120,7 +113,6 @@ func (h *Histogram) ensureSortedLocked() {
 // interpolation, or 0 for an empty histogram. Out-of-range q is clamped.
 func (h *Histogram) Quantile(q float64) float64 {
 	h.mu.Lock()
-	h.drainCellsLocked()
 	defer h.mu.Unlock()
 	n := len(h.vals)
 	if n == 0 {
@@ -152,7 +144,6 @@ func (h *Histogram) Max() float64 { return h.Quantile(1) }
 // Stddev returns the population standard deviation of the samples.
 func (h *Histogram) Stddev() float64 {
 	h.mu.Lock()
-	h.drainCellsLocked()
 	defer h.mu.Unlock()
 	n := len(h.vals)
 	if n == 0 {
@@ -171,9 +162,6 @@ func (h *Histogram) Stddev() float64 {
 func (h *Histogram) Reset() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for _, c := range h.cells {
-		c.Reset()
-	}
 	h.vals = h.vals[:0]
 	h.sum = 0
 	h.sorted = true

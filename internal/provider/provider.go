@@ -140,25 +140,30 @@ func Connect(opts Options) (*Provider, error) {
 	if opts.HeartbeatInterval <= 0 {
 		opts.HeartbeatInterval = time.Second
 	}
-	logf := func(string, ...any) {}
-	if opts.Logger != nil {
-		logf = opts.Logger.Printf
-	}
-
-	speed := opts.Speed
-	if speed <= 0 {
+	if opts.Speed <= 0 {
 		score, err := speedbench.Measure(speedbench.Options{MinDuration: 30 * time.Millisecond})
 		if err != nil {
 			return nil, fmt.Errorf("provider: speed benchmark: %w", err)
 		}
-		speed = score.MegaOpsPerSec
+		opts.Speed = score.MegaOpsPerSec
 	}
-	speed *= opts.Throttle
-
 	nc, err := net.Dial("tcp", opts.BrokerAddr)
 	if err != nil {
 		return nil, fmt.Errorf("provider: dial broker: %w", err)
 	}
+	return connect(nc, opts)
+}
+
+// connect runs the provider protocol over an established broker connection
+// (handshake, registration, execution loops) with opts already defaulted
+// and the speed score resolved. It owns nc and closes it on failure.
+func connect(nc net.Conn, opts Options) (*Provider, error) {
+	logf := func(string, ...any) {}
+	if opts.Logger != nil {
+		logf = opts.Logger.Printf
+	}
+	speed := opts.Speed * opts.Throttle
+
 	conn := wire.NewConn(nc)
 	conn.NoCoalesce = opts.NoCoalesce
 	caps := wire.CapFlagsTail
@@ -431,13 +436,16 @@ func (p *Provider) admit(m *wire.Assign, prog *tvm.Program) {
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		defer func() { <-p.slotSem }()
-		defer func() {
-			p.mu.Lock()
-			delete(p.cancels, m.Attempt)
-			p.mu.Unlock()
-		}()
-		p.execute(m, prog, cancel)
+		out := p.execute(m, prog, cancel)
+		// Release the slot before reporting: the broker may answer the
+		// result with the next Assign at once, and that Assign must find
+		// the slot free rather than be rejected as state drift.
+		p.mu.Lock()
+		delete(p.cancels, m.Attempt)
+		p.mu.Unlock()
+		<-p.slotSem
+		p.send(out)
+		p.noteFinished()
 	}()
 }
 
@@ -504,8 +512,8 @@ func (p *Provider) memoServe(m *wire.Assign) bool {
 	return true
 }
 
-// execute runs one attempt in a fresh VM and reports the outcome.
-func (p *Provider) execute(m *wire.Assign, prog *tvm.Program, cancel *atomic.Bool) {
+// execute runs one attempt in a fresh VM and returns the outcome report.
+func (p *Provider) execute(m *wire.Assign, prog *tvm.Program, cancel *atomic.Bool) *wire.AttemptResult {
 	cfg := tvm.DefaultConfig()
 	if m.Fuel > 0 {
 		cfg.Fuel = m.Fuel
@@ -552,8 +560,7 @@ func (p *Provider) execute(m *wire.Assign, prog *tvm.Program, cancel *atomic.Boo
 			}
 		}
 	}
-	p.send(out)
-	p.noteFinished()
+	return out
 }
 
 // noteFinished counts a completed execution and fires the FailAfter churn

@@ -51,23 +51,6 @@ type ShardedConfig struct {
 	FrameOverhead time.Duration
 	Batch         bool
 
-	// Partitions models the broker's lock-striped lifecycle partitions
-	// (broker.Options.Partitions): with P > 1, result processing (the result
-	// op plus its frame) is served by P parallel partition servers keyed by
-	// tasklet ID instead of the one serialized dispatcher line, while
-	// placement dispatch stays serialized (the live scheduler goroutine is
-	// single-writer). 0 or 1 keeps the fully serialized model, bit-identical
-	// to the pre-partitioning simulator — the E13 ablation pins that.
-	Partitions int
-
-	// ResultOverhead overrides the per-result dispatcher cost when set;
-	// zero charges BrokerOverhead for results too (the legacy model).
-	// Results are the broker's hot path (decode, lifecycle, QoC, metrics),
-	// typically costlier than a dispatch, and they are what partitioning
-	// parallelizes — E13 sets this to put the bottleneck where the live
-	// broker has it.
-	ResultOverhead time.Duration
-
 	// Exchange enables gossip-driven work migration between shards;
 	// GossipInterval is the load-snapshot period (default 10ms), and
 	// ExchangePolicy tunes the pull decision (zero fields = defaults).
@@ -207,11 +190,6 @@ func RunSharded(cfg ShardedConfig) (*ShardedStats, error) {
 		ss.overhead = cfg.BrokerOverhead
 		ss.frameOverhead = cfg.FrameOverhead
 		ss.batched = cfg.Batch
-		ss.resultOverhead = cfg.ResultOverhead
-		if cfg.Partitions > 1 {
-			ss.partitions = cfg.Partitions
-			ss.partBusy = make([]time.Duration, cfg.Partitions)
-		}
 		// All shards observe into the world's shared distributions.
 		ss.latency, ss.queueDelay = w.lat, w.qd
 		w.shards = append(w.shards, ss)

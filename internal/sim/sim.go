@@ -224,16 +224,6 @@ type sim struct {
 	frameOverhead time.Duration
 	batched       bool
 	passSeq       uint64
-	// partitions/partBusy/resultOverhead model the lock-striped partitioned
-	// broker core (ShardedConfig.Partitions): with partitions > 1, result
-	// processing is served by one of partitions parallel servers keyed by
-	// tasklet ID while dispatch stays on the serialized busyUntil line.
-	// resultOverhead overrides the per-result op cost (zero = overhead).
-	// partitions <= 1 leaves every path untouched — bit-identical to the
-	// serialized model.
-	partitions     int
-	partBusy       []time.Duration
-	resultOverhead time.Duration
 }
 
 type pendingEntry struct {
@@ -604,60 +594,6 @@ func (s *sim) gate(frame bool) time.Duration {
 	return s.busyUntil - s.eng.now
 }
 
-// resultCost is the per-result dispatcher op cost (the override, else the
-// shared op cost).
-func (s *sim) resultCost() time.Duration {
-	if s.resultOverhead > 0 {
-		return s.resultOverhead
-	}
-	return s.overhead
-}
-
-// partFor returns the partition server owning tid's results.
-func (s *sim) partFor(tid core.TaskletID) int {
-	return int(uint64(tid) % uint64(s.partitions))
-}
-
-// resultIdle reports whether tid's result-processing line is idle (the
-// batched control plane charges a frame only then; later results fold into
-// the batch being drained).
-func (s *sim) resultIdle(tid core.TaskletID) bool {
-	if s.partitions > 1 {
-		return s.partBusy[s.partFor(tid)] <= s.eng.now
-	}
-	return s.busyUntil <= s.eng.now
-}
-
-// gateResult charges one result-processing operation — plus one wire frame
-// when frame is set — and returns the wait. With partitions > 1 the cost
-// lands on tid's partition server; otherwise on the serialized dispatcher
-// line (identical arithmetic to gate, so partitions <= 1 with no result
-// override reproduces the legacy model exactly).
-func (s *sim) gateResult(tid core.TaskletID, frame bool) time.Duration {
-	cost := s.resultCost()
-	if frame {
-		cost += s.frameOverhead
-	}
-	if cost <= 0 {
-		return 0
-	}
-	if s.partitions <= 1 {
-		start := s.busyUntil
-		if start < s.eng.now {
-			start = s.eng.now
-		}
-		s.busyUntil = start + cost
-		return s.busyUntil - s.eng.now
-	}
-	p := s.partFor(tid)
-	start := s.partBusy[p]
-	if start < s.eng.now {
-		start = s.eng.now
-	}
-	s.partBusy[p] = start + cost
-	return s.partBusy[p] - s.eng.now
-}
-
 // execTime converts fuel to wall time at the given speed.
 func execTime(fuel uint64, mopsPerSec float64) time.Duration {
 	if mopsPerSec <= 0 {
@@ -674,11 +610,11 @@ func (s *sim) onComplete(rec *attemptRec, exec time.Duration) {
 	if rec.finished || s.devices[rec.device].epoch != rec.epoch {
 		return // device died mid-execution; loss handled by detection
 	}
-	// Batched control plane: a result arriving while its processing line is
-	// busy folds into the AttemptResultBatch already being drained, so only
-	// a result that finds the line idle pays its own frame.
-	frame := !s.batched || s.resultIdle(rec.tasklet)
-	if d := s.gateResult(rec.tasklet, frame); d > 0 {
+	// Batched control plane: a result arriving while the dispatcher is busy
+	// folds into the AttemptResultBatch already being drained, so only a
+	// result that finds the dispatcher idle pays its own frame.
+	frame := !s.batched || s.busyUntil <= s.eng.now
+	if d := s.gate(frame); d > 0 {
 		s.eng.after(d, func() { s.completeReady(rec, exec) })
 		return
 	}
