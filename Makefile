@@ -34,6 +34,9 @@ check:
 	# GOMAXPROCS, so the whole package (coalescing, the engine stress test,
 	# the goroutine-leak test) runs at 1, 2 and 4 Ps on every runner.
 	$(GO) test -race -cpu 1,2,4 -count 1 ./internal/broker/
+	# The provider's slot/FIFO hand-off (assignment window, queued-attempt
+	# cancels, shutdown) is concurrent too: same sweep.
+	$(GO) test -race -cpu 1,2,4 -count 1 ./internal/provider/
 
 # bench runs the headline benchmarks with allocation reporting: interpreter
 # hot paths, the broker data-plane throughput pair (coalescing on/off), and

@@ -314,6 +314,23 @@ type providerState struct {
 	dropWarned atomic.Bool
 }
 
+// windowLocked is how many assignments p queues behind its busy slots:
+// its Slots when it advertised CapQueue, none otherwise. Callers hold b.mu.
+func (p *providerState) windowLocked() int {
+	if p.caps&wire.CapQueue != 0 {
+		return p.info.Slots
+	}
+	return 0
+}
+
+// freeSlotsLocked reports p's free execution slots: its placement credits
+// minus the assignment window, floored at zero. This is the capacity the
+// broker reports (fleet info, shard gossip); placement spends the credits.
+// Callers hold b.mu.
+func (p *providerState) freeSlotsLocked() int {
+	return max(int(p.free.Load())-p.windowLocked(), 0)
+}
+
 type consumerState struct {
 	id      core.ConsumerID
 	out     chan wire.Message
@@ -705,8 +722,12 @@ func (b *Broker) serveProvider(nc net.Conn, conn *wire.Conn, hello *wire.Hello) 
 			p.info.Slots = m.Slots
 			p.info.Class = m.Class
 			p.info.Speed = m.Speed
-			p.free.Store(int64(m.Slots))
-			b.index.Upsert(&p.info, m.Slots, int(p.backlog.Load()))
+			// Placement credits: the slots plus the provider's assignment
+			// window, so a CapQueue provider holds one attempt queued behind
+			// each busy slot and never idles for a round trip.
+			credits := m.Slots + p.windowLocked()
+			p.free.Store(int64(credits))
+			b.index.Upsert(&p.info, credits, int(p.backlog.Load()))
 			b.mu.Unlock()
 			b.schedule()
 			b.logf("broker: provider %d registered: %d slots, %.1f Mops/s, class %s",
@@ -1271,7 +1292,7 @@ func (b *Broker) fleetInfo() *wire.FleetInfo {
 			ID:          p.info.ID,
 			Class:       p.info.Class,
 			Slots:       p.info.Slots,
-			FreeSlots:   int(p.free.Load()),
+			FreeSlots:   p.freeSlotsLocked(),
 			Speed:       p.info.Speed,
 			Reliability: p.info.Reliability,
 			Executed:    p.finished.Load(),

@@ -360,22 +360,16 @@ func (b *Broker) gossipLoop() {
 	}
 }
 
-// freeSlotsSample reads the fleet's free-slot total for gossip. Takes b.mu
-// (the index belongs to the scheduler); callers must not hold exMu — the
-// sample is taken before the gossip section to keep b.mu and exMu disjoint.
+// freeSlotsSample reads the fleet's free execution slots for gossip (not
+// the placement credits, which include each provider's assignment window).
+// Takes b.mu; callers must not hold exMu — the sample is taken before the
+// gossip section to keep b.mu and exMu disjoint.
 func (b *Broker) freeSlotsSample() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.index != nil {
-		return b.index.FreeSlots()
-	}
 	free := 0
 	for _, p := range b.providers {
-		if p.info.Slots > 0 {
-			if f := int(p.free.Load()); f > 0 {
-				free += f
-			}
-		}
+		free += p.freeSlotsLocked()
 	}
 	return free
 }

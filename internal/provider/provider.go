@@ -2,7 +2,10 @@
 // donates a device's idle cycles to the middleware. A provider connects to
 // the broker, measures and advertises its execution speed, then executes
 // assigned tasklets in sandboxed TVMs — one goroutine per slot — and
-// reports results.
+// reports results. Assignments that arrive while every slot is busy wait in
+// a FIFO of up to Slots entries (the assignment window, advertised as
+// wire.CapQueue), so a slot that finishes starts its next attempt without
+// waiting a broker round trip.
 //
 // Heterogeneity hooks: a Throttle factor slows execution to emulate weaker
 // device classes on a fast test machine, and FailAfter makes the provider
@@ -14,6 +17,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,6 +35,7 @@ type Options struct {
 	// BrokerAddr is the broker's TCP address. Required.
 	BrokerAddr string
 	// Slots is the number of concurrent tasklet executions. Zero selects 1.
+	// Up to Slots further assignments may wait in the FIFO behind them.
 	Slots int
 	// Class is the advertised device class (cosmetic in live mode; the
 	// measured speed is what schedulers use).
@@ -102,16 +107,21 @@ type Provider struct {
 	nc   net.Conn
 	id   core.ProviderID
 
-	slotSem  chan struct{}
+	slotSem  chan struct{} // one token per running attempt
 	out      chan wire.Message
 	executed atomic.Int64 // attempts finished, memo-served included
 	ran      atomic.Int64 // real TVM executions only; drives FailAfter
 	closed   atomic.Bool
 
 	mu      sync.Mutex
-	cancels map[core.AttemptID]*atomic.Bool
-	cache   *programLRU
-	memo    *memo.Cache // nil when disabled; guarded by mu
+	cancels map[core.AttemptID]*atomic.Bool // running attempts
+	// queue holds admitted attempts waiting for a slot, oldest first: at
+	// most opts.Slots of them. Slot claims and releases happen under mu
+	// together with queue pushes and pops, so an attempt is never queued
+	// behind a slot that is already being released.
+	queue []queuedAttempt
+	cache *programLRU
+	memo  *memo.Cache // nil when disabled; guarded by mu
 
 	wg   sync.WaitGroup
 	done chan struct{}
@@ -123,6 +133,12 @@ type Provider struct {
 	mMemoServed *metrics.Counter
 	mRejected   *metrics.Counter
 	mBatches    *metrics.Counter
+}
+
+// queuedAttempt is a resolved assignment waiting in the FIFO for a slot.
+type queuedAttempt struct {
+	m    *wire.Assign
+	prog *tvm.Program
 }
 
 // Connect dials the broker, performs the handshake, measures (or adopts)
@@ -166,7 +182,7 @@ func connect(nc net.Conn, opts Options) (*Provider, error) {
 
 	conn := wire.NewConn(nc)
 	conn.NoCoalesce = opts.NoCoalesce
-	caps := wire.CapFlagsTail
+	caps := wire.CapFlagsTail | wire.CapQueue
 	if !opts.NoBatch {
 		caps |= wire.CapBatch
 	}
@@ -197,6 +213,7 @@ func connect(nc net.Conn, opts Options) (*Provider, error) {
 		slotSem: make(chan struct{}, opts.Slots),
 		out:     make(chan wire.Message, 1024),
 		cancels: map[core.AttemptID]*atomic.Bool{},
+		queue:   make([]queuedAttempt, 0, opts.Slots),
 		cache:   newProgramLRU(opts.CacheSize),
 		done:    make(chan struct{}),
 	}
@@ -244,7 +261,8 @@ func (p *Provider) ID() core.ProviderID { return p.id }
 // Executed reports how many tasklets this provider has finished.
 func (p *Provider) Executed() int64 { return p.executed.Load() }
 
-// Close disconnects and waits for in-flight executions to unwind.
+// Close disconnects and waits for in-flight executions to unwind. Queued
+// attempts are dropped without running.
 func (p *Provider) Close() error {
 	if p.closed.Swap(true) {
 		return nil
@@ -252,6 +270,7 @@ func (p *Provider) Close() error {
 	close(p.done)
 	// Cancel running VMs so slots drain quickly.
 	p.mu.Lock()
+	p.queue = nil
 	for _, c := range p.cancels {
 		c.Store(true)
 	}
@@ -324,11 +343,7 @@ func (p *Provider) readLoop() {
 		case *wire.AssignBatch:
 			p.onAssignBatch(m)
 		case *wire.CancelAttempt:
-			p.mu.Lock()
-			if c := p.cancels[m.Attempt]; c != nil {
-				c.Store(true)
-			}
-			p.mu.Unlock()
+			p.cancel(m.Attempt)
 		case *wire.ErrorMsg:
 			p.logf("provider %d: broker error %d: %s", p.id, m.Code, m.Msg)
 		case *wire.Bye:
@@ -413,40 +428,101 @@ func (p *Provider) reject(m *wire.Assign, why string) {
 	})
 }
 
-// admit runs one resolved assignment: memo short-circuit, slot claim, then
-// an execution goroutine. The broker never over-commits a provider's slots,
-// so a full semaphore indicates state drift; such attempts are rejected
-// rather than queued to keep accounting exact.
+// admit runs one resolved assignment: memo short-circuit, then a free slot
+// or, with every slot busy, a place in the FIFO. The broker grants a
+// CapQueue provider 2×Slots credits, so an attempt finding the slots and the
+// FIFO full indicates state drift; it is rejected rather than queued deeper
+// to keep accounting exact.
 func (p *Provider) admit(m *wire.Assign, prog *tvm.Program) {
 	if p.memoServe(m) {
 		return
 	}
-	select {
-	case p.slotSem <- struct{}{}:
-	default:
-		p.reject(m, "no free slot")
+	p.mu.Lock()
+	if p.closed.Load() {
+		p.mu.Unlock()
 		return
 	}
-
-	cancel := &atomic.Bool{}
-	p.mu.Lock()
-	p.cancels[m.Attempt] = cancel
-	p.mu.Unlock()
-
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		out := p.execute(m, prog, cancel)
-		// Release the slot before reporting: the broker may answer the
-		// result with the next Assign at once, and that Assign must find
-		// the slot free rather than be rejected as state drift.
-		p.mu.Lock()
-		delete(p.cancels, m.Attempt)
+	select {
+	case p.slotSem <- struct{}{}:
+		cancel := &atomic.Bool{}
+		p.cancels[m.Attempt] = cancel
 		p.mu.Unlock()
-		<-p.slotSem
+		p.wg.Add(1)
+		go p.runSlot(m, prog, cancel)
+		return
+	default:
+	}
+	if len(p.queue) < p.opts.Slots {
+		p.queue = append(p.queue, queuedAttempt{m: m, prog: prog})
+		p.mu.Unlock()
+		return
+	}
+	p.mu.Unlock()
+	p.reject(m, "no free slot")
+}
+
+// runSlot executes attempts on one claimed slot: m first, then each attempt
+// the FIFO hands over, until the FIFO is empty and the slot is released.
+func (p *Provider) runSlot(m *wire.Assign, prog *tvm.Program, cancel *atomic.Bool) {
+	defer p.wg.Done()
+	for m != nil {
+		out := p.execute(m, prog, cancel)
+		// Retire the attempt before reporting: the broker may answer the
+		// result with the next Assign at once, and that Assign must find a
+		// free slot or FIFO place rather than be rejected as state drift.
+		m, prog, cancel = p.retire(m.Attempt)
 		p.send(out)
 		p.noteFinished()
-	}()
+		if p.closed.Load() {
+			return // shut down (Close or FailAfter): nothing more runs
+		}
+	}
+}
+
+// retire removes a finished attempt from the running set and passes its
+// slot to the oldest queued attempt, returned with a fresh cancel flag. With
+// the FIFO empty it releases the slot instead and returns nil.
+func (p *Provider) retire(id core.AttemptID) (*wire.Assign, *tvm.Program, *atomic.Bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	delete(p.cancels, id)
+	if len(p.queue) == 0 {
+		<-p.slotSem
+		return nil, nil, nil
+	}
+	q := p.queue[0]
+	p.queue = slices.Delete(p.queue, 0, 1)
+	cancel := &atomic.Bool{}
+	p.cancels[q.m.Attempt] = cancel
+	return q.m, q.prog, cancel
+}
+
+// cancel aborts an attempt. A running one stops at its VM's next
+// cancellation check and reports FaultCancelled from its slot; a queued one
+// leaves the FIFO and is answered FaultCancelled at once, never taking a
+// slot. Unknown attempts (already finished) are ignored.
+func (p *Provider) cancel(id core.AttemptID) {
+	p.mu.Lock()
+	if c := p.cancels[id]; c != nil {
+		c.Store(true)
+		p.mu.Unlock()
+		return
+	}
+	var queued *wire.Assign
+	for i := range p.queue {
+		if p.queue[i].m.Attempt == id {
+			queued = p.queue[i].m
+			p.queue = slices.Delete(p.queue, i, i+1)
+			break
+		}
+	}
+	p.mu.Unlock()
+	if queued != nil {
+		p.send(&wire.AttemptResult{
+			Attempt: id, Tasklet: queued.Tasklet, Status: core.StatusFault,
+			FaultCode: tvm.FaultCancelled, FaultMsg: "cancelled before it started",
+		})
+	}
 }
 
 // resolveProgram returns the cached or freshly-decoded program.

@@ -20,6 +20,9 @@ type fakeBroker struct {
 	conn *wire.Conn
 
 	welcomed chan *wire.Register
+	// unread holds the not yet consumed entries of a received
+	// AttemptResultBatch, oldest first.
+	unread []wire.Message
 }
 
 func newFakeBroker(t *testing.T) *fakeBroker {
@@ -83,7 +86,7 @@ func (fb *fakeBroker) waitRegistered() *wire.Register {
 }
 
 // recvType reads messages until one of the wanted type arrives, skipping
-// heartbeats.
+// heartbeats. An AttemptResultBatch is unpacked into its results, in order.
 func recvType[T wire.Message](fb *fakeBroker) T {
 	fb.t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -91,9 +94,20 @@ func recvType[T wire.Message](fb *fakeBroker) T {
 		if time.Now().After(deadline) {
 			fb.t.Fatal("timed out waiting for message")
 		}
-		msg, err := fb.conn.Recv()
-		if err != nil {
-			fb.t.Fatalf("recv: %v", err)
+		var msg wire.Message
+		if len(fb.unread) > 0 {
+			msg, fb.unread = fb.unread[0], fb.unread[1:]
+		} else {
+			var err error
+			if msg, err = fb.conn.Recv(); err != nil {
+				fb.t.Fatalf("recv: %v", err)
+			}
+		}
+		if b, ok := msg.(*wire.AttemptResultBatch); ok {
+			for i := range b.Results {
+				fb.unread = append(fb.unread, &b.Results[i])
+			}
+			continue
 		}
 		if m, ok := msg.(T); ok {
 			return m
@@ -225,10 +239,18 @@ func TestProviderRejectsHashMismatch(t *testing.T) {
 	}
 }
 
+// longSpin is an attempt that runs until cancelled.
+func longSpin(attempt core.AttemptID) *wire.Assign {
+	a := assignSpin(attempt, 1<<40, true)
+	a.Fuel = 1 << 50
+	return a
+}
+
 func TestProviderRejectsOverCommit(t *testing.T) {
 	fb := newFakeBroker(t)
 	startProvider(t, fb, Options{Slots: 1})
-	// Fill the single slot with a long-running tasklet, then over-commit.
+	// Fill the single slot with a long-running tasklet and the one-deep
+	// FIFO behind it, then over-commit past the 2×Slots window.
 	long := assignSpin(1, 50_000_000, true)
 	long.Fuel = 1 << 40
 	if err := fb.conn.Send(long); err != nil {
@@ -238,9 +260,112 @@ func TestProviderRejectsOverCommit(t *testing.T) {
 	if err := fb.conn.Send(assignSpin(2, 10, false)); err != nil {
 		t.Fatal(err)
 	}
+	if err := fb.conn.Send(assignSpin(3, 11, false)); err != nil {
+		t.Fatal(err)
+	}
 	res := recvType[*wire.AttemptResult](fb)
-	if res.Attempt != 2 || res.Status != core.StatusRejected {
+	if res.Attempt != 3 || res.Status != core.StatusRejected {
 		t.Fatalf("over-commit result = %+v", res)
+	}
+}
+
+// TestProviderQueuesWithinWindow fills both slots of a 2-slot provider with
+// attempts that run until cancelled and queues two short ones behind them.
+// Freeing one slot must run the queued attempts on it in FIFO order, while
+// the other slot stays busy.
+func TestProviderQueuesWithinWindow(t *testing.T) {
+	fb := newFakeBroker(t)
+	startProvider(t, fb, Options{Slots: 2})
+	for _, a := range []*wire.Assign{
+		longSpin(1), longSpin(2), assignSpin(3, 10, false), assignSpin(4, 11, false),
+	} {
+		if err := fb.conn.Send(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fb.conn.Send(&wire.CancelAttempt{Attempt: 1}); err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		attempt core.AttemptID
+		status  core.ResultStatus
+		ret     int64
+	}{{1, core.StatusFault, 0}, {3, core.StatusOK, stdtasks.RefSpin(10)}, {4, core.StatusOK, stdtasks.RefSpin(11)}}
+	for _, w := range want {
+		res := recvType[*wire.AttemptResult](fb)
+		if res.Attempt != w.attempt || res.Status != w.status {
+			t.Fatalf("got attempt %d %s, want attempt %d %s (FIFO order)", res.Attempt, res.Status, w.attempt, w.status)
+		}
+		if w.status == core.StatusOK && res.Return.I != w.ret {
+			t.Fatalf("attempt %d returned %s", res.Attempt, res.Return)
+		}
+	}
+	if err := fb.conn.Send(&wire.CancelAttempt{Attempt: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if res := recvType[*wire.AttemptResult](fb); res.Attempt != 2 || res.FaultCode != tvm.FaultCancelled {
+		t.Fatalf("second slot result = %+v", res)
+	}
+}
+
+// TestProviderCancelQueuedAttempt cancels an attempt still waiting in the
+// FIFO: it must be answered FaultCancelled at once (its slot is still busy),
+// free its FIFO place, and never run.
+func TestProviderCancelQueuedAttempt(t *testing.T) {
+	fb := newFakeBroker(t)
+	startProvider(t, fb, Options{Slots: 1})
+	for _, m := range []wire.Message{longSpin(1), assignSpin(2, 10, false), &wire.CancelAttempt{Attempt: 2}} {
+		if err := fb.conn.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := recvType[*wire.AttemptResult](fb)
+	if res.Attempt != 2 || res.Status != core.StatusFault || res.FaultCode != tvm.FaultCancelled {
+		t.Fatalf("queued cancel result = %+v", res)
+	}
+	// The FIFO place is free again: a new attempt queues instead of being
+	// rejected, and runs right after the slot frees — attempt 2 never runs.
+	for _, m := range []wire.Message{assignSpin(3, 11, false), &wire.CancelAttempt{Attempt: 1}} {
+		if err := fb.conn.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res := recvType[*wire.AttemptResult](fb); res.Attempt != 1 || res.FaultCode != tvm.FaultCancelled {
+		t.Fatalf("running cancel result = %+v", res)
+	}
+	if res := recvType[*wire.AttemptResult](fb); res.Attempt != 3 || res.Status != core.StatusOK {
+		t.Fatalf("after cancelled queue entry: got %+v, want attempt 3 OK", res)
+	}
+}
+
+// TestProviderCloseDropsQueue shuts a provider down with an attempt queued
+// behind a running one: only the running attempt may finish.
+func TestProviderCloseDropsQueue(t *testing.T) {
+	fb := newFakeBroker(t)
+	p := startProvider(t, fb, Options{Slots: 1})
+	for _, a := range []*wire.Assign{longSpin(1), assignSpin(2, 10, false)} {
+		if err := fb.conn.Send(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		p.mu.Lock()
+		queued := len(p.queue)
+		p.mu.Unlock()
+		if queued == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("attempt 2 never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Executed(); got != 1 {
+		t.Fatalf("executed = %d after Close, want 1 (the queued attempt must not run)", got)
 	}
 }
 
@@ -330,5 +455,47 @@ func TestProviderCloseIdempotent(t *testing.T) {
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestProviderWindowStress keeps a 3-slot provider's window (slots plus
+// FIFO) full for thousands of attempts, as a broker holding 2×Slots
+// credits would, and cancels every seventh attempt right after assigning
+// it, so cancels race the slot hand-off while the attempt is queued,
+// running or done. Every attempt must be answered exactly once and none
+// rejected.
+func TestProviderWindowStress(t *testing.T) {
+	const slots, total = 3, 3000
+	fb := newFakeBroker(t)
+	startProvider(t, fb, Options{Slots: slots, MemoEntries: -1})
+	next := core.AttemptID(1)
+	assign := func() {
+		if err := fb.conn.Send(assignSpin(next, int64(next%50+1), next == 1)); err != nil {
+			t.Fatal(err)
+		}
+		if next%7 == 0 {
+			if err := fb.conn.Send(&wire.CancelAttempt{Attempt: next}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next++
+	}
+	for i := 0; i < 2*slots; i++ {
+		assign()
+	}
+	seen := make(map[core.AttemptID]bool, total)
+	for len(seen) < total {
+		res := recvType[*wire.AttemptResult](fb)
+		if seen[res.Attempt] {
+			t.Fatalf("attempt %d answered twice", res.Attempt)
+		}
+		seen[res.Attempt] = true
+		cancelled := res.Status == core.StatusFault && res.FaultCode == tvm.FaultCancelled
+		if res.Status != core.StatusOK && !(cancelled && res.Attempt%7 == 0) {
+			t.Fatalf("attempt %d: %s %q", res.Attempt, res.Status, res.FaultMsg)
+		}
+		if next <= total {
+			assign()
+		}
 	}
 }

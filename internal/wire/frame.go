@@ -128,6 +128,10 @@ type Conn struct {
 
 	// ReadTimeout, when nonzero, bounds each ReadMessage call.
 	ReadTimeout time.Duration
+	// deadlineSet records that an earlier Recv armed a read deadline which
+	// must be cleared once ReadTimeout drops to zero. Touched only by the
+	// single Recv goroutine.
+	deadlineSet bool
 }
 
 // NewConn wraps nc.
@@ -213,10 +217,15 @@ func (c *Conn) Recv() (Message, error) {
 		if err := c.nc.SetReadDeadline(time.Now().Add(c.ReadTimeout)); err != nil {
 			return nil, err
 		}
-	} else if err := c.nc.SetReadDeadline(time.Time{}); err != nil {
+		c.deadlineSet = true
+	} else if c.deadlineSet {
 		// A deadline armed by an earlier Recv (e.g. during the handshake)
-		// must not linger once the timeout is disabled.
-		return nil, err
+		// must not linger once the timeout is disabled; untimed links pay
+		// for the reset once, not on every frame.
+		if err := c.nc.SetReadDeadline(time.Time{}); err != nil {
+			return nil, err
+		}
+		c.deadlineSet = false
 	}
 	var hdr [5]byte
 	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {

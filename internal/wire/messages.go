@@ -39,6 +39,12 @@ const (
 	// to peers that advertised this bit; peers without it keep receiving
 	// single frames byte-identical to the pre-batch revision.
 	CapBatch uint8 = 1 << 1
+	// CapQueue: the sender is a provider that queues up to its registered
+	// Slots further assignments behind its busy slots (the assignment
+	// window), so the broker may keep 2×Slots attempts outstanding on it
+	// instead of Slots. Providers without it are never sent more than
+	// Slots.
+	CapQueue uint8 = 1 << 2
 )
 
 // Flag bits carried in the optional tail of SubmitJob and Assign.

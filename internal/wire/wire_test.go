@@ -408,6 +408,56 @@ func TestConnRecvTimeout(t *testing.T) {
 	}
 }
 
+// deadlineCountConn counts SetReadDeadline calls on a net.Conn.
+type deadlineCountConn struct {
+	net.Conn
+	sets int
+}
+
+func (c *deadlineCountConn) SetReadDeadline(t time.Time) error {
+	c.sets++
+	return c.Conn.SetReadDeadline(t)
+}
+
+// TestConnHandshakeDeadlineDoesNotLinger reads a handshake frame under a
+// short ReadTimeout, then disables the timeout: a frame arriving after the
+// handshake deadline has passed must still be read, and the untimed reads
+// must reset the deadline once, not on every frame.
+func TestConnHandshakeDeadlineDoesNotLinger(t *testing.T) {
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	const handshake = 30 * time.Millisecond
+	go func() {
+		cc := NewConn(client)
+		_ = cc.Send(&Hello{Version: ProtocolVersion, Role: RoleProvider})
+		time.Sleep(5 * handshake)
+		for i := 0; i < 3; i++ {
+			_ = cc.Send(&Heartbeat{FreeSlots: i})
+		}
+	}()
+	nc := &deadlineCountConn{Conn: server}
+	sc := NewConn(nc)
+	sc.ReadTimeout = handshake
+	if _, err := sc.Recv(); err != nil {
+		t.Fatalf("handshake recv: %v", err)
+	}
+	sc.ReadTimeout = 0
+	armed := nc.sets
+	for i := 0; i < 3; i++ {
+		m, err := sc.Recv()
+		if err != nil {
+			t.Fatalf("recv %d after the handshake: %v (handshake deadline lingered)", i, err)
+		}
+		if hb, ok := m.(*Heartbeat); !ok || hb.FreeSlots != i {
+			t.Fatalf("recv %d = %#v", i, m)
+		}
+	}
+	if got := nc.sets - armed; got != 1 {
+		t.Fatalf("%d SetReadDeadline calls over 3 untimed reads, want 1 (the reset)", got)
+	}
+}
+
 func TestConnRejectsOversizedFrame(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
